@@ -1,6 +1,8 @@
 // google-benchmark microbenchmarks for the pipeline stages, backing the
 // "our implementation is more efficient than [5]" claim with per-stage
 // numbers: decode, scan, lift, match, extract, signature scan, pcap parse.
+// BM_MatchLibrary sweeps the template count (1, 12, 100) to show how the
+// per-trace match cost grows with the library.
 #include <benchmark/benchmark.h>
 
 #include "extract/extractor.hpp"
@@ -14,6 +16,7 @@
 #include "pcap/pcap.hpp"
 #include "semantic/analyzer.hpp"
 #include "semantic/library.hpp"
+#include "semantic/matcher.hpp"
 #include "sig/rules.hpp"
 #include "arch/scan.hpp"
 
@@ -75,6 +78,53 @@ void BM_TemplateMatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TemplateMatch);
+
+/// Lifted traces of benign content: every decode run of a 16 KB benign
+/// blob traced from its start, kept when long enough to analyze.
+struct BenignTraces {
+  util::Bytes blob = benign_blob(16 << 10);
+  std::vector<std::vector<arch::Instruction>> traces;
+  std::vector<ir::LiftResult> lifted;
+
+  BenignTraces() {
+    for (const arch::CodeRun& run : arch::find_code_runs(blob, 6)) {
+      auto trace = arch::execution_trace(blob, run.start);
+      if (trace.size() < 6) continue;
+      lifted.push_back(ir::lift(trace));
+      traces.push_back(std::move(trace));
+    }
+  }
+};
+
+/// Per-trace match cost against a library of state.range(0) templates:
+/// the standard library, then renamed copies of it. The analyzer's inner
+/// loop, over a fixed set of benign traces on which nothing fires.
+void BM_MatchLibrary(benchmark::State& state) {
+  static const BenignTraces corpus;
+  const auto standard = semantic::make_standard_library();
+  std::vector<semantic::CompiledTemplate> library;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(state.range(0)); ++i) {
+    semantic::Template t = standard[i % standard.size()];
+    t.name += "-" + std::to_string(i);
+    library.push_back(semantic::compile_template(t));
+  }
+  semantic::TraceMatcher matcher;
+  std::size_t matches = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < corpus.traces.size(); ++i) {
+      matcher.reset(
+          semantic::LiftedCode{&corpus.traces[i], &corpus.lifted[i].events, corpus.blob});
+      for (const auto& t : library) {
+        if (matcher.may_match(t) && matcher.match(t)) ++matches;
+      }
+    }
+  }
+  benchmark::DoNotOptimize(matches);
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * corpus.traces.size()));
+  state.counters["traces"] = static_cast<double>(corpus.traces.size());
+}
+BENCHMARK(BM_MatchLibrary)->Arg(1)->Arg(12)->Arg(100);
 
 void BM_AnalyzeExploitFrame(benchmark::State& state) {
   semantic::SemanticAnalyzer analyzer(semantic::make_standard_library());

@@ -24,14 +24,22 @@ void find_code_runs(util::ByteView code, std::size_t min_insns, std::vector<Code
   // next[i]: offset after the instruction at i (0 when invalid).
   auto& run_len = scratch.run_len;
   auto& next = scratch.next;
+  auto& back_target = scratch.back_target;
+  auto& is_call = scratch.is_call;
   reset(run_len, n);
   reset(next, n);
+  reset(back_target, n);
+  reset(is_call, n);
   for (std::size_t i = n; i-- > 0;) {
     Instruction insn = decode(code, i, mode);
     if (!insn.valid()) continue;
     const std::size_t after = insn.end_offset();
     next[i] = static_cast<std::uint32_t>(after);
     run_len[i] = 1 + (after < n ? run_len[after] : 0);
+    if (auto target = insn.branch_target(); target && *target < i) {
+      back_target[i] = static_cast<std::uint32_t>(*target + 1);
+    }
+    is_call[i] = insn.mnemonic == Mnemonic::kCall;
   }
 
   // Emit runs that are not a tail of an earlier (longer) run with the same

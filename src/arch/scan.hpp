@@ -28,8 +28,15 @@ struct CodeRun {
 /// to the largest frame seen and are then reused allocation-free.
 struct ScanScratch {
   std::vector<std::uint32_t> run_len;
+  /// next[i]: offset after the instruction decoded at i (0 = invalid).
   std::vector<std::uint32_t> next;
   std::vector<char> is_tail;
+  /// Control-flow facts from the same decode, so later passes walk
+  /// next[] instead of decoding again: back_target[i] is one plus the
+  /// target of a backward branch at i (0 = none), and is_call[i] marks a
+  /// call, whose end offset is next[i].
+  std::vector<std::uint32_t> back_target;
+  std::vector<char> is_call;
   /// Generation-stamped visited set for execution_trace: a slot is
   /// "visited" iff it equals visit_gen, so starting a new trace is one
   /// increment instead of an O(frame) clear (frames are traced from
@@ -45,7 +52,9 @@ std::vector<CodeRun> find_code_runs(util::ByteView code, std::size_t min_insns =
                                     Mode mode = Mode::k32);
 
 /// Buffer-reusing form: clears and fills `out` (capacity preserved),
-/// using `scratch` for the internal arrays instead of allocating.
+/// using `scratch` for the internal arrays instead of allocating. On
+/// return scratch.next, back_target and is_call describe every offset
+/// of `code` (see ScanScratch).
 void find_code_runs(util::ByteView code, std::size_t min_insns, std::vector<CodeRun>& out,
                     ScanScratch& scratch, Mode mode = Mode::k32);
 

@@ -72,6 +72,7 @@ void merge_analyzer(semantic::AnalyzerStats& into, const semantic::AnalyzerStats
   into.traces += from.traces;
   into.instructions_lifted += from.instructions_lifted;
   into.template_matches_tried += from.template_matches_tried;
+  into.templates_kind_skipped += from.templates_kind_skipped;
   into.entry_budget_exhausted += from.entry_budget_exhausted;
   into.insn_budget_exhausted += from.insn_budget_exhausted;
   into.disasm_seconds += from.disasm_seconds;
@@ -370,13 +371,12 @@ NidsEngine::NidsEngine(NidsOptions options, std::vector<semantic::Template> temp
   }
 }
 
-AnalysisContext::AnalysisContext(
-    const NidsOptions& options,
-    std::shared_ptr<const std::vector<semantic::Template>> templates)
-    : extractor_(options.extractor), analyzer_(std::move(templates), options.analyzer) {}
+AnalysisContext::AnalysisContext(const NidsOptions& options,
+                                 const semantic::SemanticAnalyzer& analyzer)
+    : extractor_(options.extractor), analyzer_(analyzer) {}
 
 AnalysisContext NidsEngine::make_analysis_context() const {
-  return AnalysisContext(options_, analyzer_.shared_templates());
+  return AnalysisContext(options_, analyzer_);
 }
 
 std::vector<Alert> NidsEngine::analyze_payload(util::ByteView payload,

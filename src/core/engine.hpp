@@ -268,8 +268,8 @@ class AnalysisContext {
 
  private:
   friend class NidsEngine;
-  AnalysisContext(const NidsOptions& options,
-                  std::shared_ptr<const std::vector<semantic::Template>> templates);
+  /// Copies `analyzer`, sharing its template set and compiled matcher.
+  AnalysisContext(const NidsOptions& options, const semantic::SemanticAnalyzer& analyzer);
 
   extract::BinaryExtractor extractor_;
   semantic::SemanticAnalyzer analyzer_;

@@ -58,15 +58,26 @@ class StageClock {
   std::chrono::steady_clock::time_point t0_{};
 };
 
+std::shared_ptr<const std::vector<CompiledTemplate>> compile_all(
+    const std::vector<Template>& templates) {
+  auto compiled = std::make_shared<std::vector<CompiledTemplate>>();
+  compiled->reserve(templates.size());
+  for (const Template& t : templates) compiled->push_back(compile_template(t));
+  return compiled;
+}
+
 }  // namespace
 
 SemanticAnalyzer::SemanticAnalyzer(std::vector<Template> templates, Options options)
-    : templates_(std::make_shared<const std::vector<Template>>(std::move(templates))),
-      options_(std::move(options)) {}
+    : SemanticAnalyzer(
+          std::make_shared<const std::vector<Template>>(std::move(templates)),
+          std::move(options)) {}
 
 SemanticAnalyzer::SemanticAnalyzer(std::shared_ptr<const std::vector<Template>> templates,
                                    Options options)
-    : templates_(std::move(templates)), options_(std::move(options)) {}
+    : templates_(std::move(templates)),
+      compiled_(compile_all(*templates_)),
+      options_(std::move(options)) {}
 
 std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame,
                                                  AnalyzerStats* stats) const {
@@ -77,12 +88,10 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame,
 std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerStats* stats,
                                                  AnalyzerScratch& scratch) const {
   const std::vector<Template>& templates = *templates_;
+  const std::vector<CompiledTemplate>& compiled = *compiled_;
   const arch::Arch& isa = options_.arch ? *options_.arch : arch::Arch::x86_32();
   std::vector<Detection> detections;
   if (frame.empty()) return detections;
-  AnalyzerMetrics& metrics = analyzer_metrics();
-  metrics.frames.add();
-  if (stats) ++stats->frames;
   StageClock clock(obs::metrics_enabled());
 
   // 1. Candidate entry points: starts of maximal decode runs, plus the
@@ -93,8 +102,6 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
   entries.clear();
   std::vector<arch::CodeRun>& runs = scratch.runs;
   isa.find_code_runs(frame, options_.min_run_insns, runs, scratch.scan);
-  metrics.runs.add(runs.size());
-  if (stats) stats->candidate_runs += runs.size();
   // Long decode runs first: real code (decoders, shellcode bodies) forms
   // long coherent runs, while text/noise fragments into thousands of
   // short ones. Without this ordering a large frame can exhaust the
@@ -115,20 +122,24 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
     }
     entries.push_back(off);
   };
+  // Walk each run's linear decode through the scanner's per-offset facts
+  // (the same instructions, in the same order and under the same cap, as
+  // a fresh linear sweep from the run start).
+  const auto& next = scratch.scan.next;
+  const auto& back_target = scratch.scan.back_target;
+  const auto& is_call = scratch.scan.is_call;
   for (const auto& run : runs) {
     if (entries.size() >= options_.max_entries) break;
     add_entry(run.start);
-    isa.linear_sweep(frame, run.start, options_.max_trace_insns, scratch.entry_sweep);
-    for (const auto& insn : scratch.entry_sweep) {
-      if (auto target = insn.branch_target(); target && *target < insn.offset) {
-        add_entry(*target);
-      }
+    std::size_t pos = run.start;
+    for (std::size_t k = 0;
+         k < options_.max_trace_insns && pos < frame.size() && next[pos] != 0; ++k) {
+      if (back_target[pos]) add_entry(back_target[pos] - 1);
       // The byte after a call is the classic GetPC data/payload location;
       // once a decoder has been unrolled (or emulated away) it is also
       // where the real payload's code begins.
-      if (insn.mnemonic == arch::Mnemonic::kCall) {
-        add_entry(insn.end_offset());
-      }
+      if (is_call[pos]) add_entry(next[pos]);
+      pos = next[pos];
     }
   }
   double disasm_seconds = 0.0;
@@ -139,12 +150,17 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
   double lift_seconds = 0.0;
   double match_seconds = 0.0;
   bool insn_budget_hit = false;
+  std::size_t traces = 0;
+  std::size_t insns_lifted = 0;
+  std::size_t matches_tried = 0;
+  std::size_t kind_skipped = 0;
   std::vector<char>& fired = scratch.fired;
   fired.assign(templates.size(), 0);
   std::size_t fired_count = 0;
   std::size_t lifted_budget = options_.max_total_insns;
   std::vector<arch::Instruction>& trace = scratch.trace;
   ir::LiftResult& lifted = scratch.lifted;
+  TraceMatcher& matcher = scratch.matcher;
   for (std::size_t entry : entries) {
     if (fired_count == templates.size()) break;
     if (lifted_budget == 0) {  // per-frame work cap reached
@@ -157,24 +173,24 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
     clock.stop(disasm_seconds);
     if (trace.size() < options_.min_run_insns) continue;
     lifted_budget -= std::min(lifted_budget, trace.size());
-    metrics.traces.add();
-    metrics.insns_lifted.add(trace.size());
-    if (stats) {
-      ++stats->traces;
-      stats->instructions_lifted += trace.size();
-    }
+    ++traces;
+    insns_lifted += trace.size();
     clock.start();
     ir::lift(trace, lifted);
     clock.stop(lift_seconds);
     if (options_.post_lift_hook) options_.post_lift_hook(trace, lifted);
-    LiftedCode code{&trace, &lifted.events, frame};
+    const LiftedCode code{&trace, &lifted.events, frame};
     clock.start();
+    matcher.reset(code);
     for (std::size_t ti = 0; ti < templates.size(); ++ti) {
       if (fired[ti]) continue;
-      const Template& t = templates[ti];
-      metrics.matches_tried.add();
-      if (stats) ++stats->template_matches_tried;
-      if (auto m = match_template(t, code)) {
+      ++matches_tried;
+      if (!matcher.may_match(compiled[ti])) {
+        ++kind_skipped;
+        continue;
+      }
+      if (auto m = matcher.match(compiled[ti])) {
+        const Template& t = templates[ti];
         fired[ti] = 1;
         ++fired_count;
         Detection d;
@@ -189,15 +205,24 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
     clock.stop(match_seconds);
   }
 
-  if (entry_budget_hit) {
-    metrics.entry_budget_exhausted.add();
-    if (stats) ++stats->entry_budget_exhausted;
-  }
-  if (insn_budget_hit) {
-    metrics.insn_budget_exhausted.add();
-    if (stats) ++stats->insn_budget_exhausted;
-  }
+  // Fold this frame's counts into the process-wide counters once.
+  AnalyzerMetrics& metrics = analyzer_metrics();
+  metrics.frames.add();
+  metrics.runs.add(runs.size());
+  metrics.traces.add(traces);
+  metrics.insns_lifted.add(insns_lifted);
+  metrics.matches_tried.add(matches_tried);
+  if (entry_budget_hit) metrics.entry_budget_exhausted.add();
+  if (insn_budget_hit) metrics.insn_budget_exhausted.add();
   if (stats) {
+    ++stats->frames;
+    stats->candidate_runs += runs.size();
+    stats->traces += traces;
+    stats->instructions_lifted += insns_lifted;
+    stats->template_matches_tried += matches_tried;
+    stats->templates_kind_skipped += kind_skipped;
+    if (entry_budget_hit) ++stats->entry_budget_exhausted;
+    if (insn_budget_hit) ++stats->insn_budget_exhausted;
     stats->disasm_seconds += disasm_seconds;
     stats->lift_seconds += lift_seconds;
     stats->match_seconds += match_seconds;

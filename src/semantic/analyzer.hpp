@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "ir/lifter.hpp"
+#include "semantic/matcher.hpp"
 #include "semantic/template.hpp"
 #include "util/bytes.hpp"
 #include "arch/scan.hpp"
@@ -31,7 +32,13 @@ struct AnalyzerStats {
   std::size_t candidate_runs = 0;
   std::size_t traces = 0;
   std::size_t instructions_lifted = 0;
+  /// (trace, template) pairs considered: every template not yet fired
+  /// on the frame, once per lifted trace.
   std::size_t template_matches_tried = 0;
+  /// The part of template_matches_tried settled without a search: the
+  /// trace lacks an event kind the template needs (a syscall of its
+  /// vector, a byte store, a conditional branch, ...).
+  std::size_t templates_kind_skipped = 0;
   // Work-budget bailouts: frames that filled the candidate-entry budget
   // (max_entries) or burned the per-frame instruction budget
   // (max_total_insns). A spike is itself a signal — adversarial frames
@@ -58,9 +65,9 @@ struct AnalyzerScratch {
   arch::ScanScratch scan;
   std::vector<arch::CodeRun> runs;
   std::vector<std::size_t> entries;
-  std::vector<arch::Instruction> entry_sweep;  // linear sweep per run
   std::vector<arch::Instruction> trace;
   ir::LiftResult lifted;
+  TraceMatcher matcher;
   std::vector<char> entry_seen;   // offset dedup bitmap, frame-sized
   std::vector<char> fired;        // per-template "already fired" flags
 };
@@ -68,9 +75,10 @@ struct AnalyzerScratch {
 /// Thread-compatible analyzer: `analyze` is const and side-effect free
 /// apart from the stats/scratch objects the caller passes in. The
 /// template library is held behind a shared_ptr, so per-worker analyzer
-/// clones (make per-worker instances via the sharing constructor) all
+/// clones (copies, or instances made with the sharing constructor) all
 /// read one immutable template set — cloning an analyzer never copies
-/// the templates.
+/// the templates. Construction compiles the set once (see matcher.hpp);
+/// copies share the compiled form too.
 class SemanticAnalyzer {
  public:
   struct Options {
@@ -102,8 +110,9 @@ class SemanticAnalyzer {
   explicit SemanticAnalyzer(std::vector<Template> templates)
       : SemanticAnalyzer(std::move(templates), Options{}) {}
   SemanticAnalyzer(std::vector<Template> templates, Options options);
-  /// Sharing constructor: the per-worker clone path. The new analyzer
-  /// reads the same immutable template set as every sibling.
+  /// Sharing constructor: the new analyzer reads the same immutable
+  /// template set as every sibling (and compiles it for itself; copying
+  /// an analyzer shares the compiled set as well).
   SemanticAnalyzer(std::shared_ptr<const std::vector<Template>> templates, Options options);
 
   /// Analyze one binary frame; returns at most one detection per template.
@@ -122,6 +131,8 @@ class SemanticAnalyzer {
 
  private:
   std::shared_ptr<const std::vector<Template>> templates_;
+  /// templates_ compiled, index for index.
+  std::shared_ptr<const std::vector<CompiledTemplate>> compiled_;
   Options options_;
 };
 

@@ -1,11 +1,11 @@
 #include "semantic/pattern.hpp"
 
-#include <algorithm>
 #include <cstdio>
+
+#include "semantic/matcher.hpp"
 
 namespace senids::semantic {
 
-using ir::ExprKind;
 using ir::ExprPtr;
 
 PatPtr p_any(std::string var) {
@@ -65,134 +65,11 @@ PatPtr p_transform(PatPtr base, std::vector<ir::BinOp> allowed, bool allow_not,
   return p;
 }
 
-namespace {
-
-/// Bind `var` to `e`, or verify consistency with an existing binding.
-bool bind(const std::string& var, const ExprPtr& e, Env& env) {
-  if (var.empty()) return true;
-  auto it = env.find(var);
-  if (it == env.end()) {
-    env.emplace(var, e);
-    return true;
-  }
-  return ir::struct_eq(it->second, e);
-}
-
-bool commutative(ir::BinOp op) {
-  switch (op) {
-    case ir::BinOp::kAdd:
-    case ir::BinOp::kXor:
-    case ir::BinOp::kOr:
-    case ir::BinOp::kAnd:
-    case ir::BinOp::kMul:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// kTransform walker: validates the tree shape and counts base/const
-/// leaves. Binding happens through the base-pattern matches.
-struct TransformWalk {
-  const Pattern& pat;
-  Env& env;
-  int base_leaves = 0;
-  int const_leaves = 0;
-  int ops = 0;
-
-  bool walk(const ExprPtr& e) {
-    // A base match takes priority: the base pattern is typically a load,
-    // which can never be an allowed internal node anyway.
-    {
-      Env trial = env;
-      if (match_expr(pat.base, e, trial)) {
-        env = std::move(trial);
-        ++base_leaves;
-        return true;
-      }
-    }
-    if (e->kind == ExprKind::kConst) {
-      ++const_leaves;
-      return true;
-    }
-    if (e->kind == ExprKind::kBin &&
-        std::find(pat.allowed.begin(), pat.allowed.end(), e->bop) != pat.allowed.end()) {
-      ++ops;
-      return walk(e->lhs) && walk(e->rhs);
-    }
-    // Byte-access plumbing: an And with a constant mask is how the lifter
-    // represents sub-register reads of wider intermediate values. It is
-    // transparent to the transform structure — traverse through it
-    // without counting it as a transformation step.
-    if (e->kind == ExprKind::kBin && e->bop == ir::BinOp::kAnd &&
-        e->rhs->kind == ExprKind::kConst) {
-      return walk(e->lhs);
-    }
-    if (e->kind == ExprKind::kUn && e->uop == ir::UnOp::kNot && pat.allow_not) {
-      ++ops;
-      return walk(e->lhs);
-    }
-    return false;
-  }
-};
-
-}  // namespace
-
 bool match_expr(const PatPtr& p, const ExprPtr& e, Env& env) {
-  if (!p || !e) return false;
-  switch (p->kind) {
-    case PatKind::kAny:
-      return bind(p->var, e, env);
-
-    case PatKind::kConst: {
-      std::uint32_t v;
-      if (!ir::is_const(e, &v)) return false;
-      if (p->require_nonzero && v == 0) return false;
-      return bind(p->var, e, env);
-    }
-
-    case PatKind::kFixedConst: {
-      std::uint32_t v;
-      return ir::is_const(e, &v) && v == p->fixed;
-    }
-
-    case PatKind::kLoad:
-      return e->kind == ExprKind::kLoad && match_expr(p->a, e->addr, env);
-
-    case PatKind::kBin: {
-      if (e->kind != ExprKind::kBin || e->bop != p->bop) return false;
-      {
-        Env trial = env;
-        if (match_expr(p->a, e->lhs, trial) && match_expr(p->b, e->rhs, trial)) {
-          env = std::move(trial);
-          return true;
-        }
-      }
-      if (commutative(p->bop)) {
-        Env trial = env;
-        if (match_expr(p->a, e->rhs, trial) && match_expr(p->b, e->lhs, trial)) {
-          env = std::move(trial);
-          return true;
-        }
-      }
-      return false;
-    }
-
-    case PatKind::kUn:
-      return e->kind == ExprKind::kUn && e->uop == p->uop && match_expr(p->a, e->lhs, env);
-
-    case PatKind::kTransform: {
-      Env trial = env;
-      TransformWalk walk{*p, trial};
-      if (!walk.walk(e)) return false;
-      if (walk.base_leaves < 1) return false;
-      if (walk.ops < 1) return false;
-      if (p->require_const_leaf && walk.const_leaves < 1) return false;
-      env = std::move(trial);
-      return true;
-    }
-  }
-  return false;
+  PatternProgram program;
+  const std::int32_t root = program.add(p);
+  TraceMatcher matcher;
+  return matcher.match_pattern(program, root, e, env);
 }
 
 std::string to_string(const PatPtr& p) {

@@ -58,9 +58,8 @@ PatPtr p_transform(PatPtr base, std::vector<ir::BinOp> allowed, bool allow_not =
 /// Variable bindings accumulated during a match.
 using Env = std::map<std::string, ir::ExprPtr, std::less<>>;
 
-/// Match `e` against `p`, extending `env`. On failure `env` is left in an
-/// unspecified state — callers must match against a copy they can discard
-/// (the template matcher does exactly that).
+/// Match `e` against `p`, extending `env`; on failure `env` is unchanged.
+/// A thin wrapper over the compiled matcher (semantic/matcher.hpp).
 bool match_expr(const PatPtr& p, const ir::ExprPtr& e, Env& env);
 
 /// Debug rendering of a pattern.

@@ -5,8 +5,13 @@
 // not).
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <string>
+
 #include "gen/emitter.hpp"
 #include "ir/lifter.hpp"
+#include "semantic/analyzer.hpp"
 #include "semantic/library.hpp"
 #include "arch/scan.hpp"
 
@@ -357,6 +362,103 @@ TEST(Hardening, ConstCounterInitAccepted) {
   a.inc_r32(R32::esi);
   a.loop_(head);
   EXPECT_TRUE(any_decoder_match(a.finish()));
+}
+
+// ------------------------------------------- loope/loopne with a known ZF
+
+/// Close a loop back to `head` with loope (0xE1) or loopne (0xE0).
+void loop_zf(Asm& a, std::uint8_t opcode, std::size_t head) {
+  a.raw8(opcode);
+  a.raw8(static_cast<std::uint8_t>(static_cast<std::int8_t>(head - (a.size() + 1))));
+}
+
+Bytes decoder_closed_by(std::uint8_t opcode) {
+  // xor byte [esi], 0x42 ; inc esi ; mov al, 0x27 ; add al, 0x69 ; loop?
+  // The add leaves al = 0x90, so ZF is clear on every pass.
+  Asm a;
+  const std::size_t head = a.size();
+  a.xor_mem8_imm8(R32::esi, 0x42);
+  a.inc_r32(R32::esi);
+  a.mov_r8_imm8(R8::al, 0x27);
+  a.alu_r8_imm8(0, R8::al, 0x69);
+  loop_zf(a, opcode, head);
+  return a.finish();
+}
+
+TEST(Hardening, LoopeAfterNonzeroResultRejected) {
+  // loope continues only while ZF is set: with a constant nonzero result
+  // last setting the flags it falls through on the first pass.
+  EXPECT_FALSE(any_decoder_match(decoder_closed_by(0xE1)));
+}
+
+TEST(Hardening, LoopneAfterNonzeroResultStillMatches) {
+  EXPECT_TRUE(any_decoder_match(decoder_closed_by(0xE0)));
+}
+
+TEST(Hardening, LoopeAfterUnknownResultStillMatches) {
+  // ZF comes from `inc esi` over an unknown pointer: undecided, accepted.
+  Asm a;
+  const std::size_t head = a.size();
+  a.xor_mem8_imm8(R32::esi, 0x42);
+  a.inc_r32(R32::esi);
+  loop_zf(a, 0xE1, head);
+  EXPECT_TRUE(any_decoder_match(a.finish()));
+}
+
+TEST(Hardening, BenignBase64FrameDoesNotAlert) {
+  // The base64-decoded body of a benign 756-byte HTTP response (random
+  // bytes). Traced from offset 455 it reads `dec byte [esi] ... inc esi
+  // ... add al, 0x69 ; loope`, which add-decrypt-loop matched before the
+  // loope rule above.
+  const std::string path =
+      std::string(SENIDS_SOURCE_DIR) + "/tests/data/benign_base64_loope_frame.bin";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing " << path;
+  const Bytes frame((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  ASSERT_EQ(frame.size(), 516u);
+  const SemanticAnalyzer analyzer(make_standard_library());
+  EXPECT_TRUE(analyzer.analyze(frame).empty());
+  const auto trace = arch::execution_trace(frame, 455);
+  ASSERT_GE(trace.size(), 16u);
+  EXPECT_EQ(trace[15].mnemonic, arch::Mnemonic::kLoope);
+}
+
+// ---------------------------------------------------- search attempt cap
+
+/// The matcher gives up after visiting 2^20 (statement, event) pairs. The
+/// template here binds X to a register write, skips two more writes and
+/// wants a store of X; the trace loads eax with `writes` distinct
+/// constants, then writes ecx and edx and stores eax. The one match binds
+/// the last eax load, which a left-to-right search reaches only after
+/// failing every earlier binding of X, and the store statement's scans
+/// over register-write events (which its event precheck rejects) make up
+/// most of the pairs visited on the way.
+std::optional<MatchResult> attempt_cap_search(std::size_t writes) {
+  Asm a;
+  for (std::size_t i = 0; i < writes; ++i) {
+    a.mov_r32_imm32(R32::eax, static_cast<std::uint32_t>(0x1000 + i));
+  }
+  a.mov_r32_imm32(R32::ecx, 1);
+  a.mov_r32_imm32(R32::edx, 2);
+  a.mov_mem_r32(R32::ebx, 0, R32::eax);
+  Template t;
+  t.name = "attempt-cap";
+  t.stmts = {st_reg_write(p_any("X")), st_reg_write(p_any()), st_reg_write(p_any()),
+             st_mem_write(p_any(), p_any("X"))};
+  return run_match(t, a.finish());
+}
+
+TEST(Hardening, AttemptCapReachedFindsNothing) {
+  // 68 loads: the search ends inside the cap and finds the match.
+  const auto found = attempt_cap_search(68);
+  ASSERT_TRUE(found);
+  EXPECT_EQ(found->matched_events, (std::vector<std::size_t>{67, 68, 69, 70}));
+  EXPECT_EQ(ir::to_string(found->bindings.at("X")), "0x1043");
+  // 69 loads: the cap is reached before the last load is tried, so the
+  // search gives up although a match exists. Counting only the pairs
+  // that pass the event precheck would move this boundary.
+  EXPECT_FALSE(attempt_cap_search(69));
 }
 
 }  // namespace
