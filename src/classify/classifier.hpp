@@ -159,7 +159,8 @@ struct ClassifierState {
 ///
 /// Two usage shapes:
 ///  - Single-state (observe/check/is_tainted): state lives inside the
-///    classifier — the 1-shard engine and LiveSession path.
+///    classifier — the 1-shard PipelineShard (own_state == false), which
+///    both the 1-shard engine and every LiveSession run.
 ///  - Shard-external (make_state + observe_in/check_in, all const on the
 ///    classifier): configuration is shared read-only across shards, each
 ///    of which mutates only its own ClassifierState. Safe concurrently

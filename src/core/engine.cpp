@@ -400,6 +400,39 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
   // the measured stage durations (see trace.hpp: exact costs, synthesized
   // placement).
   std::uint64_t span_cursor_us = tracing ? tracer.now_us() : 0;
+  using UnitStageSeconds = std::array<double, obs::kStageCount>;
+  // The one unit exit: unit latency plus the flight record, with
+  // per-stage timings only from the full-analysis path. Returns the
+  // unit's wall (0 when unclocked).
+  auto finish_unit = [&](std::size_t frames, std::size_t alerts,
+                         obs::CacheDisposition cache,
+                         const UnitStageSeconds* stage_seconds) -> double {
+    if (!clocked) return 0.0;
+    const double total = seconds_since(unit_start);
+    pm.unit_seconds->observe(total);
+    if (obs::FlightRecorder::enabled()) {
+      obs::UnitRecord fr;
+      fr.unit_id = unit_id;
+      fr.src = meta_prototype.src.value;
+      fr.payload_bytes = clamp_u32(payload.size());
+      fr.frames = clamp_u32(frames);
+      fr.alerts = clamp_u32(alerts);
+      fr.cache = cache;
+      if (stage_seconds) {
+        auto stage_us = [stage_seconds](obs::Stage stage) {
+          return to_flight_us((*stage_seconds)[static_cast<std::size_t>(stage)]);
+        };
+        fr.extract_us = stage_us(obs::Stage::kExtract);
+        fr.disasm_us = stage_us(obs::Stage::kDisasm);
+        fr.lift_us = stage_us(obs::Stage::kLift);
+        fr.match_us = stage_us(obs::Stage::kMatch);
+        fr.emulate_us = stage_us(obs::Stage::kEmulate);
+      }
+      fr.total_us = to_flight_us(total);
+      obs::FlightRecorder::instance().record(fr);
+    }
+    return total;
+  };
 
   // ---------------------------------------------------- stage-0 triage
   // The screen runs *before* the cache key is hashed: a rejected unit
@@ -435,21 +468,7 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
         ++stats->triage_rejected;
         stats->triage_rejected_bytes += payload.size();
       }
-      if (clocked) {
-        const double total = seconds_since(unit_start);
-        pm.unit_seconds->observe(total);
-        if (obs::FlightRecorder::enabled()) {
-          obs::UnitRecord fr;
-          fr.unit_id = unit_id;
-          fr.src = meta_prototype.src.value;
-          fr.payload_bytes = clamp_u32(payload.size());
-          fr.frames = 0;
-          fr.alerts = 0;
-          fr.cache = obs::CacheDisposition::kNone;
-          fr.total_us = to_flight_us(total);
-          obs::FlightRecorder::instance().record(fr);
-        }
-      }
+      finish_unit(0, 0, obs::CacheDisposition::kNone, nullptr);
       return {};
     }
     pm.triage_escalated->add();
@@ -500,24 +519,11 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
         alerts.push_back(std::move(a));
       }
       pm.alerts->add(alerts.size());
-      if (clocked) {
-        const double seconds = seconds_since(unit_start);
-        pm.unit_seconds->observe(seconds);
-        if (tracing) {
-          tracer.record({"cache-hit", unit_id, span_cursor_us,
-                         static_cast<std::uint64_t>(seconds * 1e6), payload.size(), 0});
-        }
-        if (obs::FlightRecorder::enabled()) {
-          obs::UnitRecord fr;
-          fr.unit_id = unit_id;
-          fr.src = meta_prototype.src.value;
-          fr.payload_bytes = clamp_u32(payload.size());
-          fr.frames = clamp_u32(verdict->frames_extracted);
-          fr.alerts = clamp_u32(alerts.size());
-          fr.cache = obs::CacheDisposition::kHit;
-          fr.total_us = to_flight_us(seconds);
-          obs::FlightRecorder::instance().record(fr);
-        }
+      const double seconds = finish_unit(verdict->frames_extracted, alerts.size(),
+                                         obs::CacheDisposition::kHit, nullptr);
+      if (tracing) {
+        tracer.record({"cache-hit", unit_id, span_cursor_us,
+                       static_cast<std::uint64_t>(seconds * 1e6), payload.size(), 0});
       }
       return alerts;
     }
@@ -526,7 +532,7 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
 
   // Per-unit stage totals: folded into the flight-recorder record at the
   // unit's exit (many frames can contribute to one stage per unit).
-  std::array<double, obs::kStageCount> unit_stage_seconds{};
+  UnitStageSeconds unit_stage_seconds{};
   auto record_stage = [&](obs::Stage stage, double seconds, std::uint64_t bytes) {
     const auto idx = static_cast<std::size_t>(stage);
     pm.stage_seconds[idx]->observe(seconds);
@@ -705,33 +711,11 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
     verdict.emulated_steps = unit_emulated_steps;
     vcache->insert(cache_key, std::move(verdict));
   }
-  if (clocked) {
-    const double total = seconds_since(unit_start);
-    pm.unit_seconds->observe(total);
-    if (obs::FlightRecorder::enabled()) {
-      obs::UnitRecord fr;
-      fr.unit_id = unit_id;
-      fr.src = meta_prototype.src.value;
-      fr.payload_bytes = clamp_u32(payload.size());
-      fr.frames = clamp_u32(frames.size());
-      fr.alerts = clamp_u32(alerts.size());
-      fr.cache = cacheable ? obs::CacheDisposition::kMiss
-                 : vcache  ? obs::CacheDisposition::kBypass
-                           : obs::CacheDisposition::kNone;
-      fr.extract_us =
-          to_flight_us(unit_stage_seconds[static_cast<std::size_t>(obs::Stage::kExtract)]);
-      fr.disasm_us =
-          to_flight_us(unit_stage_seconds[static_cast<std::size_t>(obs::Stage::kDisasm)]);
-      fr.lift_us =
-          to_flight_us(unit_stage_seconds[static_cast<std::size_t>(obs::Stage::kLift)]);
-      fr.match_us =
-          to_flight_us(unit_stage_seconds[static_cast<std::size_t>(obs::Stage::kMatch)]);
-      fr.emulate_us =
-          to_flight_us(unit_stage_seconds[static_cast<std::size_t>(obs::Stage::kEmulate)]);
-      fr.total_us = to_flight_us(total);
-      obs::FlightRecorder::instance().record(fr);
-    }
-  }
+  finish_unit(frames.size(), alerts.size(),
+              cacheable ? obs::CacheDisposition::kMiss
+              : vcache  ? obs::CacheDisposition::kBypass
+                        : obs::CacheDisposition::kNone,
+              &unit_stage_seconds);
   return alerts;
 }
 
@@ -757,8 +741,6 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
   // (/healthz treats a 0 capacity gauge as "check disabled").
   obs::pipeline_metrics().queue_capacity->set(
       static_cast<std::int64_t>(options_.max_queued_units));
-  obs::pipeline_metrics().flow_table_max_flows->set(
-      static_cast<std::int64_t>(options_.max_flows));
   // Merge point for worker-local results. A named struct (rather than a
   // bare local mutex) so the shared report is GUARDED_BY its mutex and
   // the thread-safety analysis enforces that workers only reach it
@@ -824,7 +806,6 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
   // list (merged after the shards join — analyze_payload is const and
   // safe to call concurrently). With threads == 0, shards == N this is
   // how the whole pipeline scales N ways with no global queue.
-  std::vector<double> inline_analysis(nshards, 0.0);
   std::vector<std::vector<Alert>> inline_alerts(nshards);
   std::vector<AnalysisContext> inline_ctx;
   if (!workers) {
@@ -834,20 +815,15 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
   std::vector<PipelineShard::UnitSink> sinks;
   sinks.reserve(nshards);
   for (std::size_t si = 0; si < nshards; ++si) {
-    sinks.push_back([this, si, workers, &queue, &inline_analysis, &inline_alerts,
-                     &inline_ctx](util::Bytes payload, const Alert& meta,
-                                  std::uint64_t unit_id) {
+    sinks.push_back([this, si, workers, &queue, &inline_alerts, &inline_ctx](
+                        util::Bytes payload, const Alert& meta, std::uint64_t unit_id) {
       if (payload.empty()) return;
       if (workers) {
         const std::size_t weight = payload.size();
         queue.push(Unit{std::move(payload), meta, unit_id}, weight);
       } else {
-        util::WallTimer unit_timer;
-        NidsStats& sstats = shards_[si]->stats();
-        auto alerts = analyze_payload(inline_ctx[si], payload, meta, &sstats, unit_id);
-        const double unit_seconds = unit_timer.seconds();
-        inline_analysis[si] += unit_seconds;
-        sstats.analysis_seconds += unit_seconds;
+        auto alerts =
+            analyze_inline(*this, inline_ctx[si], *shards_[si], payload, meta, unit_id);
         auto& out = inline_alerts[si];
         out.insert(out.end(), std::make_move_iterator(alerts.begin()),
                    std::make_move_iterator(alerts.end()));
@@ -861,12 +837,14 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
     // ------------------------------- stage (a), single shard (no dispatcher)
     // Classification runs directly on the caller thread; classify wall is
     // the caller's stage-(a) wall minus any inline analysis it triggered.
+    PipelineShard& shard = *shards_[0];
     util::WallTimer classify_timer;
     for (const pcap::Record& rec : capture.records) {
-      shards_[0]->process_record(rec, sinks[0]);
+      shard.process_frame(rec.data, rec.ts_sec, rec.ts_usec, sinks[0]);
     }
-    shards_[0]->finish_capture(sinks[0]);
-    shards_[0]->stats().classify_seconds = classify_timer.seconds() - inline_analysis[0];
+    shard.finish_capture(sinks[0]);
+    NidsStats& stats = shard.stats();
+    stats.classify_seconds = classify_timer.seconds() - stats.analysis_seconds;
   } else {
     // --------------------------------- stage (a), source-affine shard fanout
     // The caller thread only peeks each frame's IPv4 source and routes the
@@ -892,7 +870,7 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
     {
       util::ThreadPool shard_pool(nshards);
       for (std::size_t si = 0; si < nshards; ++si) {
-        shard_pool.submit([this, si, &shard_queues, &sinks, &inline_analysis] {
+        shard_pool.submit([this, si, &shard_queues, &sinks] {
           PipelineShard& shard = *shards_[si];
           auto& q = *shard_queues[si];
           obs::WorkerSlot& sslot = obs::WorkerTable::instance().slot("shard", si);
@@ -905,7 +883,9 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
             if (!batch) break;
             sslot.heartbeat();
             util::WallTimer batch_timer;
-            for (const pcap::Record* rec : *batch) shard.process_record(*rec, sinks[si]);
+            for (const pcap::Record* rec : *batch) {
+              shard.process_frame(rec->data, rec->ts_sec, rec->ts_usec, sinks[si]);
+            }
             const double busy = batch_timer.seconds();
             wall += busy;
             sslot.add_busy(busy);
@@ -918,7 +898,7 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
           sslot.add_busy(drain);
           // Same stage-(a) definition the caller thread uses at
           // shards == 1: producer wall minus inline analysis.
-          shard.stats().classify_seconds = wall - inline_analysis[si];
+          shard.stats().classify_seconds = wall - shard.stats().analysis_seconds;
           sslot.end_run();
         });
       }
@@ -959,7 +939,7 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
   // Streaming drain: close the queue so the consumers finish the backlog
   // and merge their results, then join them. analysis_seconds accrues
   // per-unit in the workers and arrives via merge_stats (the inline path
-  // added it to the shard's stats in the sink).
+  // added it to the shard's stats in analyze_inline).
   queue.close();
   if (pool) {
     pool->wait_idle();

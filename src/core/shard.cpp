@@ -5,6 +5,7 @@
 
 #include "core/pipeline_obs.hpp"
 #include "obs/trace.hpp"
+#include "util/timer.hpp"
 
 namespace senids::core {
 
@@ -56,6 +57,8 @@ void PipelineShard::begin_capture() {
   flows_.set_metrics(state_ ? &flow_metrics_ : &flow_table_metrics());
   defrag_ = net::Defragmenter(options_.defrag_max_buffered_bytes);
   defrag_.set_metrics(&defrag_metrics());
+  obs::pipeline_metrics().flow_table_max_flows->set(
+      static_cast<std::int64_t>(options_.max_flows));
   stats_ = NidsStats{};
   dark_evictions_base_ = dark_evictions();
   tracing_ = obs::Tracer::enabled();
@@ -141,8 +144,10 @@ void PipelineShard::dispatch(net::ParsedPacket& pkt, const UnitSink& sink) {
   }
 }
 
-std::optional<net::ParsedPacket> PipelineShard::classify_one(const pcap::Record& rec) {
-  auto pkt = net::parse_frame(rec.data, rec.ts_sec, rec.ts_usec);
+std::optional<net::ParsedPacket> PipelineShard::classify_one(util::ByteView frame,
+                                                             std::uint32_t ts_sec,
+                                                             std::uint32_t ts_usec) {
+  auto pkt = net::parse_frame(frame, ts_sec, ts_usec);
   if (!pkt) {
     ++stats_.non_ip;
     return std::nullopt;
@@ -165,18 +170,19 @@ std::optional<net::ParsedPacket> PipelineShard::classify_one(const pcap::Record&
   return pkt;
 }
 
-void PipelineShard::process_record(const pcap::Record& rec, const UnitSink& sink) {
+void PipelineShard::process_frame(util::ByteView frame, std::uint32_t ts_sec,
+                                  std::uint32_t ts_usec, const UnitSink& sink) {
   obs::PipelineMetrics& pm = obs::pipeline_metrics();
   ++stats_.packets;
   pm.packets->add();
   if (shard_.packets) shard_.packets->add();
   const SteadyClock::time_point pkt_start =
       clocked_ ? SteadyClock::now() : SteadyClock::time_point{};
-  auto suspicious = classify_one(rec);
+  auto suspicious = classify_one(frame, ts_sec, ts_usec);
   // Per-packet classify latency; spans only for suspicious packets (a
   // span per ignored packet would swamp the trace with noise).
   record_stage(obs::Stage::kClassify, clocked_ ? seconds_since(pkt_start) : 0.0, 0,
-               rec.data.size(), suspicious.has_value());
+               frame.size(), suspicious.has_value());
   if (suspicious) {
     ++stats_.suspicious_packets;
     pm.suspicious_packets->add();
@@ -188,10 +194,24 @@ void PipelineShard::finish_capture(const UnitSink& sink) {
   // Flush flows that never closed (truncated captures), oldest first.
   flows_.drain(
       [this, &sink](const net::FlowKey&, FlowState& state) { flush_flow(state, sink); });
+  sync_counters();
+}
+
+void PipelineShard::sync_counters() {
   // The defragmenter is fresh each capture, so its drop count is this
   // capture's; dark-space evictions persist, so delta from begin_capture.
-  stats_.defrag_dropped += defrag_.dropped();
-  stats_.dark_sources_evicted += dark_evictions() - dark_evictions_base_;
+  stats_.defrag_dropped = defrag_.dropped();
+  stats_.dark_sources_evicted = dark_evictions() - dark_evictions_base_;
+}
+
+std::vector<Alert> analyze_inline(const NidsEngine& engine, AnalysisContext& ctx,
+                                  PipelineShard& shard, util::ByteView payload,
+                                  const Alert& meta, std::uint64_t unit_id) {
+  util::WallTimer unit_timer;
+  NidsStats& stats = shard.stats();
+  auto alerts = engine.analyze_payload(ctx, payload, meta, &stats, unit_id);
+  stats.analysis_seconds += unit_timer.seconds();
+  return alerts;
 }
 
 }  // namespace senids::core

@@ -19,7 +19,6 @@
 #include "net/flow.hpp"
 #include "net/reassembly.hpp"
 #include "obs/pipeline.hpp"
-#include "pcap/pcap.hpp"
 
 namespace senids::core {
 
@@ -35,7 +34,7 @@ class PipelineShard {
  public:
   /// Receives each analysis unit the shard forms (suspicious payload or
   /// flushed stream). The engine points this at the worker handoff queue
-  /// or at inline analysis.
+  /// or at analyze_inline(); LiveSession always at analyze_inline().
   using UnitSink =
       std::function<void(util::Bytes payload, const Alert& meta, std::uint64_t unit_id)>;
 
@@ -47,17 +46,26 @@ class PipelineShard {
   PipelineShard(std::size_t index, const NidsOptions& options,
                 classify::TrafficClassifier& classifier, bool own_state);
 
-  /// Reset per-capture state (flow table, defragmenter, stats). Taint and
-  /// dark-space counts persist across captures, mirroring the classifier.
+  /// Reset per-capture state (flow table, defragmenter, stats) and read
+  /// the tracing/metrics switches for the capture. Taint and dark-space
+  /// counts persist across captures, mirroring the classifier.
   void begin_capture();
-  /// Classify one captured record and dispatch any unit it completes.
-  void process_record(const pcap::Record& rec, const UnitSink& sink);
+  /// Classify one captured Ethernet frame and dispatch any unit it
+  /// completes.
+  void process_frame(util::ByteView frame, std::uint32_t ts_sec, std::uint32_t ts_usec,
+                     const UnitSink& sink);
   /// Flush flows that never closed and finalize per-capture counters.
   void finish_capture(const UnitSink& sink);
+  /// Set the counters read off the defragmenter and classifier (defrag
+  /// drops, dark-space evictions since begin_capture). Idempotent, so a
+  /// live caller may refresh them after every frame.
+  void sync_counters();
 
   /// Per-capture stats for this shard; the engine folds them with
-  /// merge_stats. The engine also writes classify_seconds here.
+  /// merge_stats. The shard's producer also writes classify_seconds here.
   [[nodiscard]] NidsStats& stats() noexcept { return stats_; }
+  [[nodiscard]] const NidsStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] std::size_t live_flows() const noexcept { return flows_.size(); }
   [[nodiscard]] bool is_tainted(net::Ipv4Addr src) const;
   [[nodiscard]] std::size_t index() const noexcept { return index_; }
 
@@ -73,7 +81,8 @@ class PipelineShard {
   [[nodiscard]] classify::Verdict check(const net::ParsedPacket& pkt) const;
   [[nodiscard]] std::size_t dark_evictions() const;
 
-  std::optional<net::ParsedPacket> classify_one(const pcap::Record& rec);
+  std::optional<net::ParsedPacket> classify_one(util::ByteView frame,
+                                                std::uint32_t ts_sec, std::uint32_t ts_usec);
   void dispatch(net::ParsedPacket& pkt, const UnitSink& sink);
   [[nodiscard]] bool stream_full(const FlowState& state) const;
   void flush_flow(FlowState& state, const UnitSink& sink);
@@ -96,5 +105,13 @@ class PipelineShard {
   bool tracing_ = false;
   bool clocked_ = false;
 };
+
+/// Stages (b)-(e) run inline on the thread that formed the unit: the
+/// engine's threads <= 1 sink and LiveSession's sink. Counts land in the
+/// shard's stats and the unit's wall in its analysis_seconds, which the
+/// producer's classify_seconds is reported net of.
+std::vector<Alert> analyze_inline(const NidsEngine& engine, AnalysisContext& ctx,
+                                  PipelineShard& shard, util::ByteView payload,
+                                  const Alert& meta, std::uint64_t unit_id);
 
 }  // namespace senids::core

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "core/senids.hpp"
+#include "obs/flight_recorder.hpp"
 #include "verify/ir_verify.hpp"
 #include "gen/benign.hpp"
 #include "gen/codered.hpp"
@@ -483,6 +484,66 @@ TEST(Engine, AnalyzerWorkBudgetBoundsPathologicalFrames) {
   NidsStats stats;
   nids.analyze_payload(sled, meta, &stats);
   EXPECT_LE(stats.analyzer.instructions_lifted, 10000u + 4096u);
+}
+
+TEST(Engine, FlightRecordsOneEntryPerUnit) {
+  // Every analyze_payload exit — triage reject, cache miss, cache hit,
+  // cache bypass — leaves exactly one flight record describing the unit.
+  obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
+  recorder.configure({.slots = 64});
+  util::Prng prng(31);
+  const util::Bytes exploit =
+      gen::wrap_in_overflow(gen::make_shell_spawn_corpus()[0].code, prng);
+  util::Bytes oversized = exploit;
+  oversized.resize(exploit.size() * 2, 0x90);
+  const util::Bytes clean = util::to_bytes("GET /index.html HTTP/1.0\r\nHost: a\r\n\r\n");
+
+  NidsOptions options;
+  options.triage.mode = triage::TriageMode::kOn;
+  options.verdict_cache_bytes = 1 << 20;
+  options.cache_max_unit_bytes = exploit.size();
+  const NidsEngine nids(options);
+  AnalysisContext ctx = nids.make_analysis_context();
+  Alert meta;
+  meta.src = kAttacker.ip;
+  meta.dst_port = 80;
+
+  struct Expected {
+    std::uint64_t unit_id;
+    std::size_t bytes, frames, alerts;
+    obs::CacheDisposition cache;
+  };
+  std::vector<Expected> expected;
+  auto run = [&](std::uint64_t unit_id, const util::Bytes& payload,
+                 obs::CacheDisposition cache) {
+    NidsStats stats;
+    const auto alerts = nids.analyze_payload(ctx, payload, meta, &stats, unit_id);
+    expected.push_back(
+        {unit_id, payload.size(), stats.frames_extracted, alerts.size(), cache});
+  };
+  run(11, clean, obs::CacheDisposition::kNone);
+  run(12, exploit, obs::CacheDisposition::kMiss);
+  run(13, exploit, obs::CacheDisposition::kHit);
+  run(14, oversized, obs::CacheDisposition::kBypass);
+
+  const std::vector<obs::UnitRecord> records = recorder.recent();
+  recorder.configure({.slots = 0});
+  ASSERT_EQ(records.size(), expected.size());
+  EXPECT_GT(expected[1].frames, 0u);
+  EXPECT_GT(expected[1].alerts, 0u);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "unit " << expected[i].unit_id);
+    EXPECT_EQ(records[i].unit_id, expected[i].unit_id);
+    EXPECT_EQ(records[i].src, kAttacker.ip.value);
+    EXPECT_EQ(records[i].payload_bytes, expected[i].bytes);
+    EXPECT_EQ(records[i].frames, expected[i].frames);
+    EXPECT_EQ(records[i].alerts, expected[i].alerts);
+    EXPECT_EQ(records[i].cache, expected[i].cache);
+  }
+  // The replay reports the same work and verdict as the miss it replays.
+  EXPECT_EQ(records[2].frames, records[1].frames);
+  EXPECT_EQ(records[2].alerts, records[1].alerts);
+  EXPECT_EQ(records[0].frames, 0u);
 }
 
 }  // namespace

@@ -1,11 +1,21 @@
-// Streaming session: incremental feeding must match batch processing.
+// Streaming session: alerts arrive incrementally, open flows flush at
+// finish(), and the session's attribution slot and metrics log report
+// what stats() does. Alert/counter equality with the 1-shard batch engine
+// is pinned per corpus in tests/shard_differential_test.cpp.
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/senids.hpp"
 #include "core/session.hpp"
 #include "gen/poly.hpp"
 #include "gen/shellcode.hpp"
 #include "gen/traffic.hpp"
+#include "obs/workers.hpp"
+#include "util/log.hpp"
 
 namespace senids::core {
 namespace {
@@ -53,42 +63,18 @@ TEST(LiveSession, AlertsArriveIncrementally) {
   EXPECT_GT(alerts_mid_stream, 0u);
 }
 
-TEST(LiveSession, MatchesBatchProcessing) {
-  auto capture = attack_capture(92);
-
-  NidsOptions options;
-  NidsEngine batch_engine(options);
-  batch_engine.classifier().honeypots().add_decoy(kHoneypot);
-  Report batch = batch_engine.process_capture(capture);
-
-  NidsEngine live_engine(options);
-  live_engine.classifier().honeypots().add_decoy(kHoneypot);
-  std::vector<Alert> live_alerts;
-  LiveSession session(live_engine, [&](const Alert& a) { live_alerts.push_back(a); });
-  for (const auto& rec : capture.records) session.feed(rec.data, rec.ts_sec, rec.ts_usec);
-  session.finish();
-
-  ASSERT_EQ(live_alerts.size(), batch.alerts.size());
-  // Order within the stream differs from the batch's sorted order; compare
-  // as multisets of template names.
-  auto names = [](std::vector<Alert> v) {
-    std::vector<std::string> out;
-    for (auto& a : v) out.push_back(a.template_name);
-    std::sort(out.begin(), out.end());
-    return out;
-  };
-  EXPECT_EQ(names(live_alerts), names(batch.alerts));
-  EXPECT_EQ(session.stats().packets, batch.stats.packets);
-  EXPECT_EQ(session.stats().units_analyzed, batch.stats.units_analyzed);
-}
-
-TEST(LiveSession, FinishFlushesOpenFlows) {
-  // A flow with no FIN only surfaces at finish().
+/// One exploit flow whose FIN is dropped: it only surfaces at finish().
+pcap::Capture open_flow_capture() {
   gen::TraceBuilder tb(93);
   auto exploit = gen::wrap_in_overflow(gen::make_shell_spawn_corpus()[2].code, tb.prng());
   tb.add_tcp_flow(kAttacker, Endpoint{kHoneypot, 80}, exploit);
   auto capture = tb.take();
   capture.records.pop_back();  // drop the FIN
+  return capture;
+}
+
+TEST(LiveSession, FinishFlushesOpenFlows) {
+  const pcap::Capture capture = open_flow_capture();
 
   NidsOptions options;
   NidsEngine engine(options);
@@ -135,6 +121,85 @@ TEST(LiveSession, NullSinkIsSafe) {
   for (const auto& rec : tb.capture().records) session.feed(rec.data);
   session.finish();
   EXPECT_GT(session.stats().units_analyzed, 0u);
+}
+
+TEST(LiveSession, AttributionCountsUnitsAnalyzedAtFinish) {
+  // The open flow's unit is analyzed inside finish(), not feed(): the
+  // "session" attribution slot must count it all the same.
+  obs::WorkerTable::instance().reset();
+  const pcap::Capture capture = open_flow_capture();
+  NidsOptions options;
+  NidsEngine engine(options);
+  engine.classifier().honeypots().add_decoy(kHoneypot);
+  LiveSession session(engine, nullptr);
+  for (const auto& rec : capture.records) session.feed(rec.data);
+  session.finish();
+  ASSERT_GT(session.stats().units_analyzed, 0u);
+  // After reset() only this session's slot has counted anything.
+  std::uint64_t session_units = 0;
+  for (const auto& slot : obs::WorkerTable::instance().snapshot()) {
+    if (slot.kind == "session") session_units += slot.units;
+  }
+  EXPECT_EQ(session_units, session.stats().units_analyzed);
+}
+
+/// Captures "session metrics:" log lines at info level for its scope.
+struct MetricsLogCapture {
+  MetricsLogCapture() : prev_level(util::Log::level()) {
+    util::Log::set_level(util::LogLevel::kInfo);
+    util::Log::set_sink([this](util::LogLevel, const std::string& message) {
+      if (message.rfind("session metrics:", 0) == 0) lines.push_back(message);
+    });
+  }
+  ~MetricsLogCapture() {
+    util::Log::set_sink(nullptr);
+    util::Log::set_level(prev_level);
+  }
+  util::LogLevel prev_level;
+  std::vector<std::string> lines;
+};
+
+/// Value of `key=` in a "session metrics:" log line.
+std::size_t metric_field(const std::string& line, std::string_view key) {
+  const std::size_t at = line.find(" " + std::string(key) + "=");
+  EXPECT_NE(at, std::string::npos) << key << " missing from: " << line;
+  if (at == std::string::npos) return 0;
+  return std::strtoull(line.c_str() + at + key.size() + 2, nullptr, 10);
+}
+
+TEST(LiveSession, MetricsLogOneLinePerInterval) {
+  constexpr std::uint32_t kInterval = 5;
+  constexpr std::uint32_t kFirstTs = 1000;
+  const pcap::Capture capture = attack_capture(96);
+  ASSERT_GT(capture.records.size(), 4 * kInterval);
+
+  MetricsLogCapture log;
+  const std::vector<std::string>& lines = log.lines;
+
+  NidsOptions options;
+  options.metrics_log_interval_sec = kInterval;
+  NidsEngine engine(options);
+  engine.classifier().honeypots().add_decoy(kHoneypot);
+  LiveSession session(engine, nullptr);
+  // One frame per capture second: a line is due at every kInterval-th
+  // second after the first frame.
+  std::uint32_t ts = kFirstTs;
+  for (const auto& rec : capture.records) {
+    const std::size_t before = lines.size();
+    session.feed(rec.data, ts, 0);
+    const bool due = ts > kFirstTs && (ts - kFirstTs) % kInterval == 0;
+    ASSERT_EQ(lines.size(), before + (due ? 1 : 0)) << "ts=" << ts;
+    if (due) {
+      EXPECT_EQ(metric_field(lines.back(), "packets"), session.stats().packets);
+      EXPECT_EQ(metric_field(lines.back(), "units"), session.stats().units_analyzed);
+    }
+    ++ts;
+  }
+  session.finish();
+
+  const std::uint32_t elapsed = ts - 1 - kFirstTs;
+  EXPECT_EQ(lines.size(), elapsed / kInterval);
+  EXPECT_GT(metric_field(lines.back(), "units"), 0u);
 }
 
 }  // namespace

@@ -5,7 +5,10 @@
 // detections, same packet/unit counts — with the verdict cache both on
 // and off, and with analysis serial and threaded. This is the shard
 // refactor's correctness contract: source-affine dispatch must be
-// invisible in every output the pipeline produces.
+// invisible in every output the pipeline produces. Each corpus is also
+// fed frame by frame through a LiveSession on a fresh 1-shard engine,
+// whose alerts and every counter must equal the 1-shard batch report:
+// the session is that same shard with an inline sink.
 //
 // The second half pins the semantics that sharding is allowed to
 // change: classification state (dark-space counting, honeypot taint)
@@ -16,10 +19,12 @@
 // count).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
 #include "core/senids.hpp"
+#include "core/session.hpp"
 #include "gen/benign.hpp"
 #include "gen/codered.hpp"
 #include "gen/mailworm.hpp"
@@ -61,9 +66,8 @@ std::size_t test_shards() {
   return 4;
 }
 
-NidsEngine make_engine(std::size_t shards, std::size_t threads,
-                       std::size_t cache_bytes) {
-  NidsOptions options;
+NidsEngine make_engine(std::size_t shards, std::size_t threads, std::size_t cache_bytes,
+                       NidsOptions options = {}) {
   options.classifier.analyze_everything = true;
   options.shards = shards;
   options.threads = threads;
@@ -86,16 +90,72 @@ void expect_alerts_equal(const std::vector<Alert>& a, const std::vector<Alert>& 
   }
 }
 
+/// Every NidsStats counter (timings excluded).
+void expect_counters_equal(const NidsStats& a, const NidsStats& b) {
+  EXPECT_EQ(a.packets, b.packets);
+  EXPECT_EQ(a.non_ip, b.non_ip);
+  EXPECT_EQ(a.suspicious_packets, b.suspicious_packets);
+  EXPECT_EQ(a.units_analyzed, b.units_analyzed);
+  EXPECT_EQ(a.frames_extracted, b.frames_extracted);
+  EXPECT_EQ(a.bytes_analyzed, b.bytes_analyzed);
+  EXPECT_EQ(a.frames_emulated, b.frames_emulated);
+  EXPECT_EQ(a.emulated_steps, b.emulated_steps);
+  EXPECT_EQ(a.flows_evicted_idle, b.flows_evicted_idle);
+  EXPECT_EQ(a.flows_evicted_overflow, b.flows_evicted_overflow);
+  EXPECT_EQ(a.streams_truncated, b.streams_truncated);
+  EXPECT_EQ(a.dark_sources_evicted, b.dark_sources_evicted);
+  EXPECT_EQ(a.defrag_dropped, b.defrag_dropped);
+  EXPECT_EQ(a.triage_screened, b.triage_screened);
+  EXPECT_EQ(a.triage_escalated, b.triage_escalated);
+  EXPECT_EQ(a.triage_rejected, b.triage_rejected);
+  EXPECT_EQ(a.triage_rejected_bytes, b.triage_rejected_bytes);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_EQ(a.cache_bypass, b.cache_bypass);
+  EXPECT_EQ(a.cache_bytes_saved, b.cache_bytes_saved);
+  EXPECT_EQ(a.analyzer.frames, b.analyzer.frames);
+  EXPECT_EQ(a.analyzer.candidate_runs, b.analyzer.candidate_runs);
+  EXPECT_EQ(a.analyzer.traces, b.analyzer.traces);
+  EXPECT_EQ(a.analyzer.instructions_lifted, b.analyzer.instructions_lifted);
+  EXPECT_EQ(a.analyzer.template_matches_tried, b.analyzer.template_matches_tried);
+  EXPECT_EQ(a.analyzer.templates_kind_skipped, b.analyzer.templates_kind_skipped);
+  EXPECT_EQ(a.analyzer.entry_budget_exhausted, b.analyzer.entry_budget_exhausted);
+  EXPECT_EQ(a.analyzer.insn_budget_exhausted, b.analyzer.insn_budget_exhausted);
+  for (std::size_t i = 0; i < a.stages.size(); ++i) {
+    EXPECT_EQ(a.stages[i].count, b.stages[i].count) << "stage " << i;
+  }
+}
+
+/// The LiveSession side: `capture` fed frame by frame through a session
+/// on `engine` (fresh, 1 shard, configured like the engine that produced
+/// `base`) must reproduce `base` — sorted alerts field by field and every
+/// counter.
+void expect_session_matches(const Report& base, NidsEngine engine,
+                            const pcap::Capture& capture) {
+  SCOPED_TRACE("LiveSession");
+  std::vector<Alert> alerts;
+  LiveSession session(engine, [&alerts](const Alert& a) { alerts.push_back(a); });
+  for (const pcap::Record& rec : capture.records) {
+    session.feed(rec.data, rec.ts_sec, rec.ts_usec);
+  }
+  session.finish();
+  EXPECT_EQ(session.alerts_emitted(), alerts.size());
+  std::sort(alerts.begin(), alerts.end(), alert_less);
+  expect_alerts_equal(base.alerts, alerts);
+  expect_counters_equal(base.stats, session.stats());
+}
+
 void expect_cache_invariant(const NidsStats& s) {
   EXPECT_EQ(s.cache_hits + s.cache_misses + s.cache_bypass, s.units_analyzed);
 }
 
-/// The harness: a 1-shard serial cache-off baseline against N-shard
-/// runs across threads {1, 4} x cache {off, on}; every combination
-/// must reproduce the baseline report exactly.
+/// The harness: a 1-shard serial cache-off baseline against a
+/// LiveSession and N-shard runs across threads {1, 4} x cache {off, on};
+/// every one must reproduce the baseline report exactly.
 void expect_shards_transparent(const pcap::Capture& capture) {
   NidsEngine baseline = make_engine(1, 1, 0);
   const Report base = baseline.process_capture(capture);
+  expect_session_matches(base, make_engine(1, 1, 0), capture);
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (std::size_t cache_bytes : {std::size_t{0}, kCacheBytes}) {
@@ -226,6 +286,62 @@ TEST(ShardDifferential, SingleSourceLandsOnOneShard) {
   expect_shards_transparent(tb.take());
 }
 
+TEST(ShardDifferential, FragmentedCorpus) {
+  // Every frame of the mixed corpus split into IP fragments: the
+  // defragmenter runs per shard and per session like the flow table.
+  pcap::Capture capture;
+  for (const pcap::Record& rec : mixed_corpus(214).records) {
+    for (util::Bytes& frag : net::fragment_frame(rec.data, 256)) {
+      const auto len = static_cast<std::uint32_t>(frag.size());
+      capture.records.push_back(
+          pcap::Record{rec.ts_sec, rec.ts_usec, len, std::move(frag)});
+    }
+  }
+  expect_shards_transparent(capture);
+}
+
+TEST(ShardDifferential, SessionMatchesEngineUnderFlowEviction) {
+  // Twelve exploit flows, flow i starting i capture seconds after flow 0
+  // and sending one segment per second, every third without a FIN. A
+  // 4-flow cap evicts by overflow while the starts overlap; FIN-less
+  // flows left idle for 3 s are evicted as later ones run on. max_flows
+  // acts per shard, so only the session is compared (to the 1-shard
+  // batch report).
+  const auto corpus = gen::make_shell_spawn_corpus();
+  std::vector<pcap::Capture> flows;
+  for (std::size_t i = 0; i < 12; ++i) {
+    gen::TraceBuilder tb(215 + i);
+    const auto poly = gen::admmutate_encode(corpus[i % corpus.size()].code, tb.prng());
+    tb.add_tcp_flow(attacker(i), Endpoint{kServer, 80},
+                    gen::wrap_in_overflow(poly.bytes, tb.prng()), /*mss=*/64 + 32 * i);
+    flows.push_back(tb.take());
+    if (i % 3 == 0) flows.back().records.pop_back();  // drop the FIN
+  }
+  pcap::Capture capture;
+  for (std::uint32_t second = 0;; ++second) {
+    bool any = false;
+    for (std::uint32_t i = 0; i < flows.size(); ++i) {
+      const std::vector<pcap::Record>& records = flows[i].records;
+      if (second < i || second - i >= records.size()) continue;
+      pcap::Record rec = records[second - i];
+      rec.ts_sec = 1000 + second;
+      capture.records.push_back(std::move(rec));
+      any = true;
+    }
+    if (!any && second >= flows.size()) break;
+  }
+
+  NidsOptions options;
+  options.max_flows = 4;
+  options.flow_idle_timeout_sec = 3;
+  NidsEngine baseline = make_engine(1, 1, 0, options);
+  const Report base = baseline.process_capture(capture);
+  EXPECT_GT(base.stats.flows_evicted_overflow, 0u);
+  EXPECT_GT(base.stats.flows_evicted_idle, 0u);
+  EXPECT_FALSE(base.alerts.empty());
+  expect_session_matches(base, make_engine(1, 1, 0, options), capture);
+}
+
 // --------------------------- classification state under source affinity
 
 /// A classification-dependent corpus (analyze_everything = false): each
@@ -267,6 +383,7 @@ TEST(ShardDifferential, DarkSpaceTaintSurvivesSharding) {
 
   EXPECT_TRUE(r_one.detected(ThreatClass::kShellSpawn));
   expect_alerts_equal(r_one.alerts, r_many.alerts);
+  expect_session_matches(r_one, make_classifying_engine(1), capture);
   EXPECT_EQ(r_one.stats.suspicious_packets, r_many.stats.suspicious_packets);
   // Every scanner crossed the dark-space threshold inside its shard;
   // the benign client never probed anywhere.
