@@ -390,159 +390,22 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
                                                const Alert& meta_prototype,
                                                NidsStats* stats,
                                                std::uint64_t unit_id) const {
-  obs::PipelineMetrics& pm = obs::pipeline_metrics();
+  const SteadyClock::time_point unit_start = SteadyClock::now();
   obs::Tracer& tracer = obs::Tracer::instance();
   const bool tracing = obs::Tracer::enabled();
   const bool clocked = obs::metrics_enabled() || tracing;
-  const SteadyClock::time_point unit_start =
-      clocked ? SteadyClock::now() : SteadyClock::time_point{};
+  // The one per-unit record. Every count and stage timing of this unit
+  // lands here; the exit below derives everything else from it: the
+  // caller's stats, the registry counters, the unit-latency histogram,
+  // the flight record and the cache-hit span.
+  NidsStats unit;
+  unit.units_analyzed = 1;
   // This unit's spans are laid out sequentially from its start time using
   // the measured stage durations (see trace.hpp: exact costs, synthesized
   // placement).
   std::uint64_t span_cursor_us = tracing ? tracer.now_us() : 0;
-  using UnitStageSeconds = std::array<double, obs::kStageCount>;
-  // The one unit exit: unit latency plus the flight record, with
-  // per-stage timings only from the full-analysis path. Returns the
-  // unit's wall (0 when unclocked).
-  auto finish_unit = [&](std::size_t frames, std::size_t alerts,
-                         obs::CacheDisposition cache,
-                         const UnitStageSeconds* stage_seconds) -> double {
-    if (!clocked) return 0.0;
-    const double total = seconds_since(unit_start);
-    pm.unit_seconds->observe(total);
-    if (obs::FlightRecorder::enabled()) {
-      obs::UnitRecord fr;
-      fr.unit_id = unit_id;
-      fr.src = meta_prototype.src.value;
-      fr.payload_bytes = clamp_u32(payload.size());
-      fr.frames = clamp_u32(frames);
-      fr.alerts = clamp_u32(alerts);
-      fr.cache = cache;
-      if (stage_seconds) {
-        auto stage_us = [stage_seconds](obs::Stage stage) {
-          return to_flight_us((*stage_seconds)[static_cast<std::size_t>(stage)]);
-        };
-        fr.extract_us = stage_us(obs::Stage::kExtract);
-        fr.disasm_us = stage_us(obs::Stage::kDisasm);
-        fr.lift_us = stage_us(obs::Stage::kLift);
-        fr.match_us = stage_us(obs::Stage::kMatch);
-        fr.emulate_us = stage_us(obs::Stage::kEmulate);
-      }
-      fr.total_us = to_flight_us(total);
-      obs::FlightRecorder::instance().record(fr);
-    }
-    return total;
-  };
-
-  // ---------------------------------------------------- stage-0 triage
-  // The screen runs *before* the cache key is hashed: a rejected unit
-  // skips the SHA-256 along with stages (b)-(e), so stage-0 cost is the
-  // scan itself. Rejected units never touch the cache (no lookup, no
-  // insert), hence cache_hits + cache_misses + cache_bypass ==
-  // units_analyzed - triage_rejected.
-  if (triage_) {
-    const SteadyClock::time_point triage_start =
-        clocked ? SteadyClock::now() : SteadyClock::time_point{};
-    const triage::TriageDecision decision =
-        triage_->screen(payload, meta_prototype.dst_port);
-    const double triage_seconds = clocked ? seconds_since(triage_start) : 0.0;
-    constexpr auto kTriageIdx = static_cast<std::size_t>(obs::Stage::kTriage);
-    pm.stage_seconds[kTriageIdx]->observe(triage_seconds);
-    pm.triage_screened->add();
-    if (stats) {
-      ++stats->triage_screened;
-      fold_stage(stats->stages[kTriageIdx], triage_seconds);
-    }
-    if (tracing) {
-      const auto dur = static_cast<std::uint64_t>(triage_seconds * 1e6);
-      tracer.record({obs::stage_name(obs::Stage::kTriage).data(), unit_id, span_cursor_us,
-                     dur, payload.size(), 0});
-      span_cursor_us += dur;
-    }
-    if (!decision.escalate) {
-      pm.units->add();
-      pm.triage_rejected->add();
-      pm.triage_rejected_bytes->add(payload.size());
-      if (stats) {
-        ++stats->units_analyzed;
-        ++stats->triage_rejected;
-        stats->triage_rejected_bytes += payload.size();
-      }
-      finish_unit(0, 0, obs::CacheDisposition::kNone, nullptr);
-      return {};
-    }
-    pm.triage_escalated->add();
-    if (stats) ++stats->triage_escalated;
-  }
-
-  // ------------------------------------------------- verdict cache lookup
-  // Every unit is exactly one of hit / miss / bypass. A hit replays the
-  // stored flow-independent verdict under the *current* unit's metadata
-  // and skips stages (b)-(e); a miss falls through to full analysis and
-  // populates the cache on the way out.
-  cache::VerdictCache* vcache = verdict_cache_.get();
-  const bool cacheable = vcache && payload.size() <= options_.cache_max_unit_bytes;
-  if (vcache && !cacheable) {
-    pm.cache_bypass->add();
-    if (stats) ++stats->cache_bypass;
-  }
-  cache::Digest cache_key{};
-  if (cacheable) {
-    cache::Sha256 key_ctx;
-    key_ctx.update(config_fingerprint_.data(), config_fingerprint_.size());
-    key_ctx.update(payload);
-    cache_key = key_ctx.finish();
-    if (auto verdict = vcache->lookup(cache_key)) {
-      pm.units->add();
-      pm.frames->add(verdict->frames_extracted);
-      pm.cache_bytes_saved->add(verdict->bytes_analyzed);
-      if (stats) {
-        ++stats->units_analyzed;
-        ++stats->cache_hits;
-        stats->cache_bytes_saved += verdict->bytes_analyzed;
-        // Logical-work counters are replayed from the verdict so the
-        // report describes the same detection work whether the cache
-        // served it or not (see NidsStats). bytes_analyzed stays
-        // fresh-only; the replayed bytes are in cache_bytes_saved.
-        stats->frames_extracted += verdict->frames_extracted;
-        stats->frames_emulated += verdict->frames_emulated;
-        stats->emulated_steps += verdict->emulated_steps;
-      }
-      std::vector<Alert> alerts;
-      alerts.reserve(verdict->alerts.size());
-      for (const cache::CachedAlert& ca : verdict->alerts) {
-        Alert a = meta_prototype;
-        a.threat = ca.threat;
-        a.template_name = ca.template_name;
-        a.frame_reason = ca.frame_reason;
-        a.frame_offset = ca.frame_offset;
-        alerts.push_back(std::move(a));
-      }
-      pm.alerts->add(alerts.size());
-      const double seconds = finish_unit(verdict->frames_extracted, alerts.size(),
-                                         obs::CacheDisposition::kHit, nullptr);
-      if (tracing) {
-        tracer.record({"cache-hit", unit_id, span_cursor_us,
-                       static_cast<std::uint64_t>(seconds * 1e6), payload.size(), 0});
-      }
-      return alerts;
-    }
-    if (stats) ++stats->cache_misses;
-  }
-
-  // Per-unit stage totals: folded into the flight-recorder record at the
-  // unit's exit (many frames can contribute to one stage per unit).
-  UnitStageSeconds unit_stage_seconds{};
-  auto record_stage = [&](obs::Stage stage, double seconds, std::uint64_t bytes) {
-    const auto idx = static_cast<std::size_t>(stage);
-    pm.stage_seconds[idx]->observe(seconds);
-    unit_stage_seconds[idx] += seconds;
-    if (stats) fold_stage(stats->stages[idx], seconds);
-    if (tracing) {
-      const auto dur = static_cast<std::uint64_t>(seconds * 1e6);
-      tracer.record({obs::stage_name(stage).data(), unit_id, span_cursor_us, dur, bytes, 0});
-      span_cursor_us += dur;
-    }
+  auto stage = [&](obs::Stage s, double seconds, std::uint64_t bytes) {
+    span_cursor_us += record_stage(unit, s, seconds, tracing, span_cursor_us, unit_id, bytes);
   };
   SteadyClock::time_point mark{};
   auto tic = [&] {
@@ -550,172 +413,245 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
   };
   auto toc = [&]() -> double { return clocked ? seconds_since(mark) : 0.0; };
 
-  std::vector<Alert> alerts;
-  tic();
-  ctx.extractor_.extract(payload, ctx.frames_);
-  const std::vector<extract::BinaryFrame>& frames = ctx.frames_;
-  record_stage(obs::Stage::kExtract, toc(), payload.size());
-  pm.units->add();
-  pm.frames->add(frames.size());
-
-  semantic::AnalyzerStats astats;
-  if (stats) {
-    ++stats->units_analyzed;
-    stats->frames_extracted += frames.size();
-  }
-  // Per-frame disasm/lift/match costs come out of the analyzer's own
-  // stats deltas rather than a wrapper clock: the three stages interleave
-  // inside analyze(), so only the analyzer can attribute time correctly.
-  auto analyze_frame = [&](util::ByteView data) {
-    const semantic::AnalyzerStats before = astats;
-    auto detections = ctx.analyzer_.analyze(data, &astats, ctx.scratch_);
-    if (astats.frames > before.frames) {
-      record_stage(obs::Stage::kDisasm, astats.disasm_seconds - before.disasm_seconds,
-                   data.size());
-      record_stage(obs::Stage::kLift, astats.lift_seconds - before.lift_seconds,
-                   data.size());
-      record_stage(obs::Stage::kMatch, astats.match_seconds - before.match_seconds,
-                   data.size());
-    }
-    return detections;
-  };
-  // Unit-local work totals: folded into `stats` as before, and captured
-  // into the cached verdict so hits can report the work they skipped.
-  std::uint64_t unit_bytes_analyzed = 0;
-  std::uint64_t unit_frames_emulated = 0;
-  std::uint64_t unit_emulated_steps = 0;
-  // One sandbox run per frame per unit: the decoder-confirmation pass and
-  // the deep-analysis pass below both emulate frames, so results are
-  // memoized by frame index (an emulated frame is counted once).
-  ctx.emu_memo_.assign(frames.size(), std::nullopt);
-  auto emulate = [&](std::size_t frame_idx) -> const emu::EmulationResult& {
-    std::optional<emu::EmulationResult>& memo = ctx.emu_memo_[frame_idx];
-    if (!memo) {
-      util::ByteView data = frames[frame_idx].data;
+  std::vector<Alert> alerts = [&]() -> std::vector<Alert> {
+    // -------------------------------------------------- stage-0 triage
+    // The screen runs *before* the cache key is hashed: a rejected unit
+    // skips the SHA-256 along with stages (b)-(e), so stage-0 cost is the
+    // scan itself. Rejected units never touch the cache (no lookup, no
+    // insert), hence cache_hits + cache_misses + cache_bypass ==
+    // units_analyzed - triage_rejected.
+    if (triage_) {
       tic();
-      memo = emu::emulate_frame(data, options_.emulator);
-      record_stage(obs::Stage::kEmulate, toc(), data.size());
-      ++unit_frames_emulated;
-      unit_emulated_steps += memo->steps;
-      if (stats) {
-        ++stats->frames_emulated;
-        stats->emulated_steps += memo->steps;
+      const triage::TriageDecision decision =
+          triage_->screen(payload, meta_prototype.dst_port);
+      stage(obs::Stage::kTriage, toc(), payload.size());
+      ++unit.triage_screened;
+      if (!decision.escalate) {
+        ++unit.triage_rejected;
+        unit.triage_rejected_bytes += payload.size();
+        return {};
       }
+      ++unit.triage_escalated;
     }
-    return *memo;
-  };
 
-  // A template may fire on several frames of the same payload (e.g. the
-  // sled frame and the after-repetition frame overlap); report it once.
-  ctx.fired_names_.clear();
-  auto already = [&ctx](const std::string& name) {
-    return ctx.fired_names_.count(name) != 0;
-  };
-  for (const auto& frame : frames) {
-    unit_bytes_analyzed += frame.data.size();
-    if (stats) stats->bytes_analyzed += frame.data.size();
-    pm.bytes_analyzed->add(frame.data.size());
-    for (auto& det : analyze_frame(frame.data)) {
-      if (already(det.template_name)) continue;
-      ctx.fired_names_.insert(det.template_name);
-      Alert a = meta_prototype;
-      a.threat = det.threat;
-      a.template_name = std::move(det.template_name);
-      a.frame_reason = frame.reason;
-      a.frame_offset = frame.src_offset;
-      alerts.push_back(std::move(a));
-    }
-  }
-  // Optional dynamic confirmation: a static decryption-loop alert must
-  // correspond to code that, when actually run, decodes something.
-  if (options_.confirm_decoders_by_emulation) {
-    const bool has_decoder_alert =
-        std::any_of(alerts.begin(), alerts.end(), [](const Alert& a) {
-          return a.threat == semantic::ThreatClass::kDecryptionLoop;
-        });
-    if (has_decoder_alert) {
-      bool confirmed = false;
-      for (std::size_t fi = 0; fi < frames.size(); ++fi) {
-        if (emulate(fi).frame_bytes_modified >= options_.min_decoded_bytes) {
-          confirmed = true;
-          break;
+    // ----------------------------------------------- verdict cache lookup
+    // Every unit is exactly one of hit / miss / bypass. A hit replays the
+    // stored flow-independent verdict under the *current* unit's metadata
+    // and skips stages (b)-(e); a miss falls through to full analysis and
+    // populates the cache on the way out.
+    cache::VerdictCache* vcache = verdict_cache_.get();
+    const bool cacheable = vcache && payload.size() <= options_.cache_max_unit_bytes;
+    if (vcache && !cacheable) ++unit.cache_bypass;
+    cache::Digest cache_key{};
+    if (cacheable) {
+      cache::Sha256 key_ctx;
+      key_ctx.update(config_fingerprint_.data(), config_fingerprint_.size());
+      key_ctx.update(payload);
+      cache_key = key_ctx.finish();
+      if (auto verdict = vcache->lookup(cache_key)) {
+        ++unit.cache_hits;
+        unit.cache_bytes_saved = verdict->bytes_analyzed;
+        // Logical-work counters are replayed from the verdict so the
+        // report describes the same detection work whether the cache
+        // served it or not (see NidsStats). bytes_analyzed stays
+        // fresh-only; the replayed bytes are in cache_bytes_saved.
+        unit.frames_extracted = verdict->frames_extracted;
+        unit.frames_emulated = verdict->frames_emulated;
+        unit.emulated_steps = verdict->emulated_steps;
+        std::vector<Alert> replayed;
+        replayed.reserve(verdict->alerts.size());
+        for (const cache::CachedAlert& ca : verdict->alerts) {
+          Alert a = meta_prototype;
+          a.threat = ca.threat;
+          a.template_name = ca.template_name;
+          a.frame_reason = ca.frame_reason;
+          a.frame_offset = ca.frame_offset;
+          replayed.push_back(std::move(a));
         }
+        return replayed;
       }
-      if (!confirmed) {
-        // Forget the erased names too: the deep pass below may rediscover
-        // the same template on an emulation-decoded frame, and that
-        // confirmed re-detection must not be suppressed.
-        for (const Alert& a : alerts) {
-          if (a.threat == semantic::ThreatClass::kDecryptionLoop) {
-            ctx.fired_names_.erase(a.template_name);
+      ++unit.cache_misses;
+    }
+
+    std::vector<Alert> found;
+    tic();
+    ctx.extractor_.extract(payload, ctx.frames_);
+    const std::vector<extract::BinaryFrame>& frames = ctx.frames_;
+    stage(obs::Stage::kExtract, toc(), payload.size());
+    unit.frames_extracted = frames.size();
+
+    // Per-frame disasm/lift/match costs come out of the analyzer's own
+    // stats deltas rather than a wrapper clock: the three stages
+    // interleave inside analyze(), so only the analyzer can attribute
+    // time correctly.
+    auto analyze_frame = [&](util::ByteView data) {
+      const semantic::AnalyzerStats before = unit.analyzer;
+      auto detections = ctx.analyzer_.analyze(data, &unit.analyzer, ctx.scratch_);
+      if (unit.analyzer.frames > before.frames) {
+        stage(obs::Stage::kDisasm, unit.analyzer.disasm_seconds - before.disasm_seconds,
+              data.size());
+        stage(obs::Stage::kLift, unit.analyzer.lift_seconds - before.lift_seconds,
+              data.size());
+        stage(obs::Stage::kMatch, unit.analyzer.match_seconds - before.match_seconds,
+              data.size());
+      }
+      return detections;
+    };
+    // One sandbox run per frame per unit: the decoder-confirmation pass
+    // and the deep-analysis pass below both emulate frames, so results
+    // are memoized by frame index (an emulated frame is counted once).
+    ctx.emu_memo_.assign(frames.size(), std::nullopt);
+    auto emulate = [&](std::size_t frame_idx) -> const emu::EmulationResult& {
+      std::optional<emu::EmulationResult>& memo = ctx.emu_memo_[frame_idx];
+      if (!memo) {
+        util::ByteView data = frames[frame_idx].data;
+        tic();
+        memo = emu::emulate_frame(data, options_.emulator);
+        stage(obs::Stage::kEmulate, toc(), data.size());
+        ++unit.frames_emulated;
+        unit.emulated_steps += memo->steps;
+      }
+      return *memo;
+    };
+
+    // A template may fire on several frames of the same payload (e.g. the
+    // sled frame and the after-repetition frame overlap); report it once.
+    ctx.fired_names_.clear();
+    auto already = [&ctx](const std::string& name) {
+      return ctx.fired_names_.count(name) != 0;
+    };
+    for (const auto& frame : frames) {
+      unit.bytes_analyzed += frame.data.size();
+      for (auto& det : analyze_frame(frame.data)) {
+        if (already(det.template_name)) continue;
+        ctx.fired_names_.insert(det.template_name);
+        Alert a = meta_prototype;
+        a.threat = det.threat;
+        a.template_name = std::move(det.template_name);
+        a.frame_reason = frame.reason;
+        a.frame_offset = frame.src_offset;
+        found.push_back(std::move(a));
+      }
+    }
+    // Optional dynamic confirmation: a static decryption-loop alert must
+    // correspond to code that, when actually run, decodes something.
+    if (options_.confirm_decoders_by_emulation) {
+      const bool has_decoder_alert =
+          std::any_of(found.begin(), found.end(), [](const Alert& a) {
+            return a.threat == semantic::ThreatClass::kDecryptionLoop;
+          });
+      if (has_decoder_alert) {
+        bool confirmed = false;
+        for (std::size_t fi = 0; fi < frames.size(); ++fi) {
+          if (emulate(fi).frame_bytes_modified >= options_.min_decoded_bytes) {
+            confirmed = true;
+            break;
           }
         }
-        std::erase_if(alerts, [](const Alert& a) {
-          return a.threat == semantic::ThreatClass::kDecryptionLoop;
-        });
-      }
-    }
-  }
-
-  // Deep analysis: run each frame in the sandbox. A decoder decrypts
-  // itself there, so the second static pass sees the plaintext behaviour
-  // that the on-wire bytes hid; the syscall trace independently exposes
-  // behaviour even when no static template covers it.
-  if (options_.enable_emulation) {
-    auto add_alert = [&](semantic::ThreatClass threat, std::string name,
-                         extract::FrameReason reason, std::size_t offset) {
-      if (already(name)) return;
-      ctx.fired_names_.insert(name);
-      Alert a = meta_prototype;
-      a.threat = threat;
-      a.template_name = std::move(name);
-      a.frame_reason = reason;
-      a.frame_offset = offset;
-      alerts.push_back(std::move(a));
-    };
-    for (std::size_t fi = 0; fi < frames.size(); ++fi) {
-      const extract::BinaryFrame& frame = frames[fi];
-      const emu::EmulationResult& emu_result = emulate(fi);
-      if (emu_result.spawned_shell()) {
-        add_alert(semantic::ThreatClass::kShellSpawn, "emulated:spawned-shell",
-                  extract::FrameReason::kEmulatedBehavior, frame.src_offset);
-      }
-      if (emu_result.bound_port()) {
-        add_alert(semantic::ThreatClass::kPortBindShell, "emulated:bound-port",
-                  extract::FrameReason::kEmulatedBehavior, frame.src_offset);
-      }
-      if (!emu_result.decoded_frame.empty()) {
-        for (auto& det : analyze_frame(emu_result.decoded_frame)) {
-          add_alert(det.threat, std::move(det.template_name),
-                    extract::FrameReason::kEmulatedDecode, frame.src_offset);
+        if (!confirmed) {
+          // Forget the erased names too: the deep pass below may
+          // rediscover the same template on an emulation-decoded frame,
+          // and that confirmed re-detection must not be suppressed.
+          for (const Alert& a : found) {
+            if (a.threat == semantic::ThreatClass::kDecryptionLoop) {
+              ctx.fired_names_.erase(a.template_name);
+            }
+          }
+          std::erase_if(found, [](const Alert& a) {
+            return a.threat == semantic::ThreatClass::kDecryptionLoop;
+          });
         }
       }
     }
-  }
 
-  pm.alerts->add(alerts.size());
-  if (stats) merge_analyzer(stats->analyzer, astats);
-
-  if (cacheable) {
-    // Strip the alerts down to their flow-independent fields, preserving
-    // emission order exactly — replay must produce a byte-identical list.
-    cache::Verdict verdict;
-    verdict.alerts.reserve(alerts.size());
-    for (const Alert& a : alerts) {
-      verdict.alerts.push_back(
-          cache::CachedAlert{a.threat, a.template_name, a.frame_reason, a.frame_offset});
+    // Deep analysis: run each frame in the sandbox. A decoder decrypts
+    // itself there, so the second static pass sees the plaintext
+    // behaviour that the on-wire bytes hid; the syscall trace
+    // independently exposes behaviour even when no static template
+    // covers it.
+    if (options_.enable_emulation) {
+      auto add_alert = [&](semantic::ThreatClass threat, std::string name,
+                           extract::FrameReason reason, std::size_t offset) {
+        if (already(name)) return;
+        ctx.fired_names_.insert(name);
+        Alert a = meta_prototype;
+        a.threat = threat;
+        a.template_name = std::move(name);
+        a.frame_reason = reason;
+        a.frame_offset = offset;
+        found.push_back(std::move(a));
+      };
+      for (std::size_t fi = 0; fi < frames.size(); ++fi) {
+        const extract::BinaryFrame& frame = frames[fi];
+        const emu::EmulationResult& emu_result = emulate(fi);
+        if (emu_result.spawned_shell()) {
+          add_alert(semantic::ThreatClass::kShellSpawn, "emulated:spawned-shell",
+                    extract::FrameReason::kEmulatedBehavior, frame.src_offset);
+        }
+        if (emu_result.bound_port()) {
+          add_alert(semantic::ThreatClass::kPortBindShell, "emulated:bound-port",
+                    extract::FrameReason::kEmulatedBehavior, frame.src_offset);
+        }
+        if (!emu_result.decoded_frame.empty()) {
+          for (auto& det : analyze_frame(emu_result.decoded_frame)) {
+            add_alert(det.threat, std::move(det.template_name),
+                      extract::FrameReason::kEmulatedDecode, frame.src_offset);
+          }
+        }
+      }
     }
-    verdict.frames_extracted = frames.size();
-    verdict.bytes_analyzed = unit_bytes_analyzed;
-    verdict.frames_emulated = unit_frames_emulated;
-    verdict.emulated_steps = unit_emulated_steps;
-    vcache->insert(cache_key, std::move(verdict));
+
+    if (cacheable) {
+      // Strip the alerts down to their flow-independent fields, preserving
+      // emission order exactly — replay must produce a byte-identical list.
+      cache::Verdict verdict;
+      verdict.alerts.reserve(found.size());
+      for (const Alert& a : found) {
+        verdict.alerts.push_back(
+            cache::CachedAlert{a.threat, a.template_name, a.frame_reason, a.frame_offset});
+      }
+      verdict.frames_extracted = unit.frames_extracted;
+      verdict.bytes_analyzed = unit.bytes_analyzed;
+      verdict.frames_emulated = unit.frames_emulated;
+      verdict.emulated_steps = unit.emulated_steps;
+      vcache->insert(cache_key, std::move(verdict));
+    }
+    return found;
+  }();
+
+  // ------------------------------------------------------ the unit exit
+  // Every path above returns here, so each unit is counted, published and
+  // recorded exactly once, from the same record.
+  unit.analysis_seconds = seconds_since(unit_start);
+  if (stats) merge_stats(*stats, unit);
+  publish_unit(unit, alerts.size());
+  obs::pipeline_metrics().unit_seconds->observe(unit.analysis_seconds);
+  if (obs::FlightRecorder::enabled()) {
+    auto stage_us = [&unit](obs::Stage s) {
+      return to_flight_us(unit.stages[static_cast<std::size_t>(s)].seconds);
+    };
+    obs::UnitRecord fr;
+    fr.unit_id = unit_id;
+    fr.src = meta_prototype.src.value;
+    fr.payload_bytes = clamp_u32(payload.size());
+    fr.frames = clamp_u32(unit.frames_extracted);
+    fr.alerts = clamp_u32(alerts.size());
+    fr.cache = unit.cache_hits     ? obs::CacheDisposition::kHit
+               : unit.cache_misses ? obs::CacheDisposition::kMiss
+               : unit.cache_bypass ? obs::CacheDisposition::kBypass
+                                   : obs::CacheDisposition::kNone;
+    fr.extract_us = stage_us(obs::Stage::kExtract);
+    fr.disasm_us = stage_us(obs::Stage::kDisasm);
+    fr.lift_us = stage_us(obs::Stage::kLift);
+    fr.match_us = stage_us(obs::Stage::kMatch);
+    fr.emulate_us = stage_us(obs::Stage::kEmulate);
+    fr.total_us = to_flight_us(unit.analysis_seconds);
+    obs::FlightRecorder::instance().record(fr);
   }
-  finish_unit(frames.size(), alerts.size(),
-              cacheable ? obs::CacheDisposition::kMiss
-              : vcache  ? obs::CacheDisposition::kBypass
-                        : obs::CacheDisposition::kNone,
-              &unit_stage_seconds);
+  if (tracing && unit.cache_hits) {
+    tracer.record({"cache-hit", unit_id, span_cursor_us, span_us(unit.analysis_seconds),
+                   payload.size(), 0});
+  }
   return alerts;
 }
 
@@ -784,9 +720,7 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
           wslot.heartbeat();
           util::WallTimer busy_timer;
           for (Unit& unit : batch) {
-            util::WallTimer unit_timer;
             auto found = analyze_payload(ctx, unit.payload, unit.meta, &local, unit.unit_id);
-            local.analysis_seconds += unit_timer.seconds();
             alerts.insert(alerts.end(), std::make_move_iterator(found.begin()),
                           std::make_move_iterator(found.end()));
           }
@@ -823,7 +757,7 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
         queue.push(Unit{std::move(payload), meta, unit_id}, weight);
       } else {
         auto alerts =
-            analyze_inline(*this, inline_ctx[si], *shards_[si], payload, meta, unit_id);
+            analyze_payload(inline_ctx[si], payload, meta, &shards_[si]->stats(), unit_id);
         auto& out = inline_alerts[si];
         out.insert(out.end(), std::make_move_iterator(alerts.begin()),
                    std::make_move_iterator(alerts.end()));
@@ -937,9 +871,10 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
   }
 
   // Streaming drain: close the queue so the consumers finish the backlog
-  // and merge their results, then join them. analysis_seconds accrues
-  // per-unit in the workers and arrives via merge_stats (the inline path
-  // added it to the shard's stats in analyze_inline).
+  // and merge their results, then join them. analysis_seconds is each
+  // unit's own wall (analyze_payload clocks it) and arrives via the
+  // workers' merge_stats (the inline path merged it into the shard's
+  // stats).
   queue.close();
   if (pool) {
     pool->wait_idle();

@@ -157,8 +157,9 @@ struct NidsOptions {
 
 /// Accumulated latency of one pipeline stage: execution count, summed
 /// wall seconds, and the costliest single execution. Counts are always
-/// maintained; the time fields are only accumulated while
-/// obs::metrics_enabled() (zero when observability is off).
+/// maintained; the time fields accrue while obs::metrics_enabled() or
+/// the tracer is on (disasm/lift/match, timed inside the analyzer, only
+/// while metrics are on), and are zero when observability is off.
 struct StageStat {
   std::size_t count = 0;
   double seconds = 0.0;
@@ -209,8 +210,10 @@ struct NidsStats {
   std::size_t cache_bytes_saved = 0;
   semantic::AnalyzerStats analyzer;
   /// Per-stage latency, indexed by obs::Stage. classify counts packets,
-  /// reassemble counts flushed streams, extract counts units, disasm/
-  /// lift/match count analyzed frames, emulate counts sandbox runs.
+  /// reassemble counts flushed streams, triage counts screened units
+  /// (== triage_screened), extract counts the units stages (b)-(e) ran
+  /// on (== units_analyzed - triage_rejected - cache_hits), disasm/lift/
+  /// match count analyzed frames, emulate counts sandbox runs.
   std::array<StageStat, obs::kStageCount> stages{};
   /// Stage-(a) *producer* wall, summed across shards: for each shard,
   /// the wall time its producing thread spent parsing, classifying,
@@ -232,7 +235,8 @@ struct NidsStats {
   /// added together.
   double dispatch_seconds = 0.0;
   /// Summed per-unit wall time of the analysis stages (b)-(e) across all
-  /// workers — a CPU-time-style total that is comparable across thread
+  /// workers, each unit clocked once inside analyze_payload — a
+  /// CPU-time-style total that is comparable across thread
   /// counts. With threads > 1 it exceeds elapsed wall time (that is the
   /// point: elapsed = max over workers, this = sum). It is NOT additive
   /// with classify_seconds into an end-to-end wall figure; the two
@@ -315,6 +319,9 @@ class NidsEngine {
 
   /// Analyze one application payload directly (classification skipped).
   /// Used by Table 1/2 benches that feed exploit payloads end-to-end.
+  /// The unit is counted into `stats` when given; either way it is
+  /// published to the registry counters, the unit-latency histogram and
+  /// the flight recorder.
   /// `unit_id` correlates this unit's tracer spans (0 = unlabelled).
   /// Allocates a transient AnalysisContext per call; callers analyzing
   /// payloads in a loop should hold a context and use the overload below.

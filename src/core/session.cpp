@@ -21,7 +21,7 @@ LiveSession::LiveSession(NidsEngine& engine, AlertSink sink)
       alert_sink_(std::move(sink)),
       unit_sink_([this](util::Bytes payload, const Alert& meta, std::uint64_t unit_id) {
         for (const Alert& alert :
-             analyze_inline(engine_, ctx_, shard_, payload, meta, unit_id)) {
+             engine_.analyze_payload(ctx_, payload, meta, &shard_.stats(), unit_id)) {
           ++alerts_emitted_;
           if (alert_sink_) alert_sink_(alert);
         }

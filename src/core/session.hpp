@@ -1,8 +1,8 @@
 // Streaming analysis session: the deployment-shaped interface. Feed
 // frames as they arrive; alerts come back as each unit completes. A
 // session is the 1-shard engine fed frame by frame: one PipelineShard
-// over the classifier's embedded state with analyze_inline() as its unit
-// sink, so stage (a) and its bounded flow table are exactly what
+// over the classifier's embedded state whose unit sink calls
+// NidsEngine::analyze_payload inline, so stage (a) and its bounded flow table are exactly what
 // process_capture runs, and a session can run on live traffic
 // indefinitely with bounded memory.
 //

@@ -5,7 +5,6 @@
 
 #include "core/pipeline_obs.hpp"
 #include "obs/trace.hpp"
-#include "util/timer.hpp"
 
 namespace senids::core {
 
@@ -15,6 +14,13 @@ using SteadyClock = std::chrono::steady_clock;
 
 double seconds_since(SteadyClock::time_point start) {
   return std::chrono::duration<double>(SteadyClock::now() - start).count();
+}
+
+/// Producer-side spans are placed ending now: the stage just finished.
+std::uint64_t span_start_ending_now(double seconds) {
+  const std::uint64_t now = obs::Tracer::instance().now_us();
+  const std::uint64_t dur = span_us(seconds);
+  return now >= dur ? now - dur : 0;
 }
 
 }  // namespace
@@ -65,20 +71,6 @@ void PipelineShard::begin_capture() {
   clocked_ = obs::metrics_enabled() || tracing_;
 }
 
-void PipelineShard::record_stage(obs::Stage stage, double seconds, std::uint64_t unit_id,
-                                 std::uint64_t bytes, bool with_span) {
-  const auto idx = static_cast<std::size_t>(stage);
-  obs::pipeline_metrics().stage_seconds[idx]->observe(seconds);
-  fold_stage(stats_.stages[idx], seconds);
-  if (tracing_ && with_span) {
-    obs::Tracer& tracer = obs::Tracer::instance();
-    const auto dur = static_cast<std::uint64_t>(seconds * 1e6);
-    const std::uint64_t now = tracer.now_us();
-    tracer.record({obs::stage_name(stage).data(), unit_id, now >= dur ? now - dur : 0,
-                   dur, bytes, 0});
-  }
-}
-
 bool PipelineShard::stream_full(const FlowState& state) const {
   return state.reassembler.truncated() ||
          state.reassembler.stream().size() >= options_.max_stream_bytes;
@@ -97,7 +89,9 @@ void PipelineShard::flush_flow(FlowState& state, const UnitSink& sink) {
   if (clocked_) reassemble_seconds += seconds_since(t0);
   if (stream.empty()) return;
   const std::uint64_t unit_id = tracing_ ? obs::Tracer::instance().next_unit_id() : 0;
-  record_stage(obs::Stage::kReassemble, reassemble_seconds, unit_id, stream.size(), true);
+  record_stage(stats_, obs::Stage::kReassemble, reassemble_seconds, tracing_,
+               tracing_ ? span_start_ending_now(reassemble_seconds) : 0, unit_id,
+               stream.size());
   if (shard_.units) shard_.units->add();
   sink(std::move(stream), state.meta, unit_id);
 }
@@ -181,8 +175,10 @@ void PipelineShard::process_frame(util::ByteView frame, std::uint32_t ts_sec,
   auto suspicious = classify_one(frame, ts_sec, ts_usec);
   // Per-packet classify latency; spans only for suspicious packets (a
   // span per ignored packet would swamp the trace with noise).
-  record_stage(obs::Stage::kClassify, clocked_ ? seconds_since(pkt_start) : 0.0, 0,
-               frame.size(), suspicious.has_value());
+  const double classify_seconds = clocked_ ? seconds_since(pkt_start) : 0.0;
+  const bool with_span = tracing_ && suspicious.has_value();
+  record_stage(stats_, obs::Stage::kClassify, classify_seconds, with_span,
+               with_span ? span_start_ending_now(classify_seconds) : 0, 0, frame.size());
   if (suspicious) {
     ++stats_.suspicious_packets;
     pm.suspicious_packets->add();
@@ -202,16 +198,6 @@ void PipelineShard::sync_counters() {
   // capture's; dark-space evictions persist, so delta from begin_capture.
   stats_.defrag_dropped = defrag_.dropped();
   stats_.dark_sources_evicted = dark_evictions() - dark_evictions_base_;
-}
-
-std::vector<Alert> analyze_inline(const NidsEngine& engine, AnalysisContext& ctx,
-                                  PipelineShard& shard, util::ByteView payload,
-                                  const Alert& meta, std::uint64_t unit_id) {
-  util::WallTimer unit_timer;
-  NidsStats& stats = shard.stats();
-  auto alerts = engine.analyze_payload(ctx, payload, meta, &stats, unit_id);
-  stats.analysis_seconds += unit_timer.seconds();
-  return alerts;
 }
 
 }  // namespace senids::core

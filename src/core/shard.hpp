@@ -34,7 +34,8 @@ class PipelineShard {
  public:
   /// Receives each analysis unit the shard forms (suspicious payload or
   /// flushed stream). The engine points this at the worker handoff queue
-  /// or at analyze_inline(); LiveSession always at analyze_inline().
+  /// or, with threads <= 1, at an inline NidsEngine::analyze_payload call
+  /// that counts into this shard's stats(); LiveSession always inline.
   using UnitSink =
       std::function<void(util::Bytes payload, const Alert& meta, std::uint64_t unit_id)>;
 
@@ -86,10 +87,6 @@ class PipelineShard {
   void dispatch(net::ParsedPacket& pkt, const UnitSink& sink);
   [[nodiscard]] bool stream_full(const FlowState& state) const;
   void flush_flow(FlowState& state, const UnitSink& sink);
-  /// Fold a producer-side stage execution into stats + registry (+ a
-  /// trace span placed backwards from "now", since the span just ended).
-  void record_stage(obs::Stage stage, double seconds, std::uint64_t unit_id,
-                    std::uint64_t bytes, bool with_span);
 
   std::size_t index_;
   const NidsOptions& options_;
@@ -105,13 +102,5 @@ class PipelineShard {
   bool tracing_ = false;
   bool clocked_ = false;
 };
-
-/// Stages (b)-(e) run inline on the thread that formed the unit: the
-/// engine's threads <= 1 sink and LiveSession's sink. Counts land in the
-/// shard's stats and the unit's wall in its analysis_seconds, which the
-/// producer's classify_seconds is reported net of.
-std::vector<Alert> analyze_inline(const NidsEngine& engine, AnalysisContext& ctx,
-                                  PipelineShard& shard, util::ByteView payload,
-                                  const Alert& meta, std::uint64_t unit_id);
 
 }  // namespace senids::core

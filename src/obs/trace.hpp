@@ -1,7 +1,10 @@
-// Lightweight pipeline tracer: one structured span per stage per
-// analysis unit, exportable as Chrome trace-event JSON (loadable in
-// chrome://tracing and ui.perfetto.dev) or JSONL (one span object per
-// line, for ad-hoc jq/scripted analysis).
+// Lightweight pipeline tracer: one structured span per stage execution
+// (per suspicious packet for classify, per flushed flow for reassemble,
+// per screened unit for triage, per extracted unit for extract, per
+// analyzed frame for disasm/lift/match, per sandbox run for emulate, and
+// one "cache-hit" span per replayed unit), exportable as Chrome
+// trace-event JSON (loadable in chrome://tracing and ui.perfetto.dev) or
+// JSONL (one span object per line, for ad-hoc jq/scripted analysis).
 //
 // Recording is off by default — a NIDS saturating a link must not pay
 // for a feature used during capacity planning and incident forensics.

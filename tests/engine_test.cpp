@@ -488,7 +488,8 @@ TEST(Engine, AnalyzerWorkBudgetBoundsPathologicalFrames) {
 
 TEST(Engine, FlightRecordsOneEntryPerUnit) {
   // Every analyze_payload exit — triage reject, cache miss, cache hit,
-  // cache bypass — leaves exactly one flight record describing the unit.
+  // cache bypass, with or without caller stats — leaves exactly one
+  // flight record describing the unit.
   obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
   recorder.configure({.slots = 64});
   util::Prng prng(31);
@@ -525,6 +526,17 @@ TEST(Engine, FlightRecordsOneEntryPerUnit) {
   run(12, exploit, obs::CacheDisposition::kMiss);
   run(13, exploit, obs::CacheDisposition::kHit);
   run(14, oversized, obs::CacheDisposition::kBypass);
+  // The stats-less overload (perfbench's verdict pass, the Table 1/2
+  // benches) skips only the merge into caller stats: the unit is still
+  // published and recorded.
+  obs::PipelineMetrics& pm = obs::pipeline_metrics();
+  const std::uint64_t units_before = pm.units->value();
+  const std::uint64_t latencies_before = pm.unit_seconds->count();
+  const auto stats_less = nids.analyze_payload(ctx, oversized, meta);
+  EXPECT_EQ(pm.units->value(), units_before + 1);
+  EXPECT_EQ(pm.unit_seconds->count(), latencies_before + 1);
+  expected.push_back({0, oversized.size(), expected[3].frames, stats_less.size(),
+                      obs::CacheDisposition::kBypass});
 
   const std::vector<obs::UnitRecord> records = recorder.recent();
   recorder.configure({.slots = 0});

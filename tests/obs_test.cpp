@@ -1,7 +1,8 @@
 // Observability subsystem tests: sharded counters under concurrency,
 // histogram quantile bounds, Prometheus exposition well-formedness,
-// tracer output formats, and engine-level agreement between tracer span
-// counts and NidsStats on the demo capture.
+// tracer output formats, engine-level agreement between tracer span
+// counts and NidsStats on the demo capture, and the registry mirroring
+// the report counter for counter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,11 @@
 #include <vector>
 
 #include "core/senids.hpp"
+#include "gen/codered.hpp"
+#include "gen/poly.hpp"
+#include "gen/shellcode.hpp"
+#include "gen/traffic.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/pipeline.hpp"
 #include "obs/trace.hpp"
@@ -359,6 +365,123 @@ TEST(ObsEngine, StreamingAndSerialReportSameStageCounts) {
   ASSERT_GT(serial.stats.units_analyzed, 0u);
   EXPECT_GT(serial.stats.analysis_seconds, 0.0);
   EXPECT_GT(parallel.stats.analysis_seconds, 0.0);
+}
+
+/// Code Red duplicates (cache hits), ADMmutate one-offs (misses), benign
+/// payloads (triage rejects), and one padded Code Red request larger than
+/// any other unit (the cache bypass).
+pcap::Capture mirror_corpus() {
+  gen::TraceBuilder tb(301);
+  const auto shellcode = gen::make_shell_spawn_corpus();
+  const util::Bytes request = gen::make_code_red_ii_request();
+  const net::Endpoint server{net::Ipv4Addr::from_octets(10, 0, 0, 80), 80};
+  const net::Ipv4Addr client = net::Ipv4Addr::from_octets(10, 0, 1, 9);
+  auto attacker = [](std::size_t i) {
+    return net::Endpoint{net::Ipv4Addr::from_octets(192, 0, 2, static_cast<std::uint8_t>(i + 1)),
+                         static_cast<std::uint16_t>(40000 + i)};
+  };
+  for (std::size_t i = 0; i < 5; ++i) {
+    tb.add_tcp_flow(attacker(i), server, request);
+    const auto adm = gen::admmutate_encode(shellcode[i % shellcode.size()].code, tb.prng());
+    tb.add_tcp_flow(attacker(i + 10), server, adm.bytes);
+    tb.add_benign(net::Endpoint{client, static_cast<std::uint16_t>(50000 + i)}, server.ip,
+                  gen::make_benign_payload(tb.prng()));
+    tb.add_benign(net::Endpoint{client, static_cast<std::uint16_t>(51000 + i)}, server.ip,
+                  gen::make_benign_payload(tb.prng()));
+  }
+  util::Bytes padded = request;
+  padded.insert(padded.end(), 16 << 10, 0x90);
+  tb.add_tcp_flow(attacker(20), server, padded);
+  return tb.take();
+}
+
+TEST(ObsEngine, RegistryMirrorsReport) {
+  // Every registry counter that mirrors a NidsStats field reads exactly
+  // the report's figure, on every schedule: inline and worker-pool
+  // analysis, one and three shards, and a LiveSession. The registry is
+  // reset before each run, so its values are that run's alone.
+  const pcap::Capture capture = mirror_corpus();
+  FlightRecorder& recorder = FlightRecorder::instance();
+  PipelineMetrics& pm = pipeline_metrics();
+
+  core::NidsOptions options;
+  options.classifier.analyze_everything = true;
+  options.triage.mode = triage::TriageMode::kOn;
+  options.verdict_cache_bytes = 1 << 20;
+  options.cache_max_unit_bytes = 12 << 10;
+
+  auto check = [&](const core::NidsStats& stats, std::size_t alerts) {
+    EXPECT_GT(stats.cache_bypass, 0u);
+    EXPECT_GT(stats.triage_rejected, 0u);
+    EXPECT_GT(alerts, 0u);
+    EXPECT_EQ(pm.packets->value(), stats.packets);
+    EXPECT_EQ(pm.suspicious_packets->value(), stats.suspicious_packets);
+    EXPECT_EQ(pm.units->value(), stats.units_analyzed);
+    EXPECT_EQ(pm.frames->value(), stats.frames_extracted);
+    EXPECT_EQ(pm.bytes_analyzed->value(), stats.bytes_analyzed);
+    EXPECT_EQ(pm.alerts->value(), alerts);
+    EXPECT_EQ(pm.triage_screened->value(), stats.triage_screened);
+    EXPECT_EQ(pm.triage_escalated->value(), stats.triage_escalated);
+    EXPECT_EQ(pm.triage_rejected->value(), stats.triage_rejected);
+    EXPECT_EQ(pm.triage_rejected_bytes->value(), stats.triage_rejected_bytes);
+    EXPECT_EQ(pm.cache_hits->value(), stats.cache_hits);
+    EXPECT_EQ(pm.cache_misses->value(), stats.cache_misses);
+    EXPECT_EQ(pm.cache_bypass->value(), stats.cache_bypass);
+    EXPECT_EQ(pm.cache_bytes_saved->value(), stats.cache_bytes_saved);
+    for (std::size_t i = 0; i < kStageCount; ++i) {
+      EXPECT_EQ(pm.stage_seconds[i]->count(), stats.stages[i].count)
+          << stage_name(static_cast<Stage>(i));
+    }
+    EXPECT_EQ(pm.unit_seconds->count(), stats.units_analyzed);
+    EXPECT_EQ(recorder.recent().size(), stats.units_analyzed);
+    // Extraction runs on every unit that is neither rejected nor replayed.
+    const auto stage_count = [&stats](Stage s) {
+      return stats.stages[static_cast<std::size_t>(s)].count;
+    };
+    EXPECT_EQ(stage_count(Stage::kExtract),
+              stats.units_analyzed - stats.triage_rejected - stats.cache_hits);
+    EXPECT_EQ(stage_count(Stage::kTriage), stats.triage_screened);
+  };
+  auto fresh_run = [&] {
+    Registry::instance().reset_values();
+    recorder.configure({.slots = 4096});
+  };
+  auto make_engine = [&](core::NidsOptions o) {
+    core::NidsEngine nids(o);
+    nids.classifier().honeypots().add_decoy(net::Ipv4Addr::from_octets(10, 0, 0, 80));
+    return nids;
+  };
+
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads << " shards=" << shards);
+      core::NidsOptions o = options;
+      o.threads = threads;
+      o.shards = shards;
+      core::NidsEngine nids = make_engine(o);
+      fresh_run();
+      const core::Report report = nids.process_capture(capture);
+      check(report.stats, report.alerts.size());
+      // Concurrent runs may analyze two duplicates at once (two misses);
+      // the serial run must replay them.
+      if (threads == 1 && shards == 1) {
+        EXPECT_GT(report.stats.cache_hits, 0u);
+      }
+    }
+  }
+  {
+    SCOPED_TRACE("LiveSession");
+    core::NidsEngine nids = make_engine(options);
+    fresh_run();
+    core::LiveSession session(nids, nullptr);
+    for (const pcap::Record& rec : capture.records) {
+      session.feed(rec.data, rec.ts_sec, rec.ts_usec);
+    }
+    session.finish();
+    check(session.stats(), session.alerts_emitted());
+    EXPECT_GT(session.stats().cache_hits, 0u);
+  }
+  recorder.configure({.slots = 0});
 }
 
 }  // namespace

@@ -535,8 +535,11 @@ int main(int argc, char** argv) {
     }
   }
   // Keep the endpoints scrapeable after a short capture (CI smoke tests
-  // and humans pointing curl at a finished run).
+  // and humans pointing curl at a finished run). The report is flushed
+  // first: with stdout redirected it would otherwise sit in the buffer
+  // for the whole linger, and a kill during it would lose it.
   if (telemetry && cli.telemetry_linger > 0) {
+    std::fflush(stdout);
     std::this_thread::sleep_for(std::chrono::duration<double>(cli.telemetry_linger));
   }
   return report.alerts.empty() ? 0 : 3;  // 3 = threats found (grep-able)
