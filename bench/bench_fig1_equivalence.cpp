@@ -68,7 +68,7 @@ void evaluate(const char* name, const util::Bytes& code) {
   auto trace = arch::execution_trace(code, 0);
   std::printf("%s", arch::format_listing(arch::linear_sweep(code)).c_str());
   auto lifted = ir::lift(trace);
-  semantic::LiftedCode lc{&trace, &lifted.events, code};
+  semantic::LiftedCode lc{&trace, &lifted.events, code, lifted.arena.get()};
   const semantic::Template t = semantic::tmpl_xor_decrypt_loop();
   auto m = semantic::match_template(t, lc);
   if (m) {

@@ -71,7 +71,7 @@ void BM_TemplateMatch(benchmark::State& state) {
   const util::Bytes code = poly_sample();
   auto trace = arch::execution_trace(code, 0);
   auto lifted = ir::lift(trace);
-  semantic::LiftedCode lc{&trace, &lifted.events, code};
+  semantic::LiftedCode lc{&trace, &lifted.events, code, lifted.arena.get()};
   const auto t = semantic::tmpl_xor_decrypt_loop();
   for (auto _ : state) {
     benchmark::DoNotOptimize(semantic::match_template(t, lc));
@@ -96,11 +96,34 @@ struct BenignTraces {
   }
 };
 
+const BenignTraces& benign_traces() {
+  static const BenignTraces corpus;
+  return corpus;
+}
+
+/// ir::lift alone over the benign trace corpus, into one reused result
+/// as an analyzer worker does (its arena is recycled for every trace).
+void BM_LiftBenignTraces(benchmark::State& state) {
+  const BenignTraces& corpus = benign_traces();
+  ir::LiftResult lifted;
+  for (auto _ : state) {
+    for (const auto& trace : corpus.traces) {
+      ir::lift(trace, lifted);
+      benchmark::DoNotOptimize(lifted.events.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * corpus.traces.size()));
+  state.counters["traces"] = static_cast<double>(corpus.traces.size());
+}
+BENCHMARK(BM_LiftBenignTraces);
+
 /// Per-trace match cost against a library of state.range(0) templates:
 /// the standard library, then renamed copies of it. The analyzer's inner
 /// loop, over a fixed set of benign traces on which nothing fires.
 void BM_MatchLibrary(benchmark::State& state) {
-  static const BenignTraces corpus;
+  const BenignTraces& corpus = benign_traces();
   const auto standard = semantic::make_standard_library();
   std::vector<semantic::CompiledTemplate> library;
   for (std::size_t i = 0; i < static_cast<std::size_t>(state.range(0)); ++i) {

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
   // Template matching.
   std::printf("\n== template matching ==\n");
-  semantic::LiftedCode lc{&trace, &lifted.events, poly.bytes};
+  semantic::LiftedCode lc{&trace, &lifted.events, poly.bytes, lifted.arena.get()};
   for (const auto& t : semantic::make_decoder_library()) {
     auto m = semantic::match_template(t, lc);
     if (!m) {
@@ -83,7 +83,8 @@ int main(int argc, char** argv) {
   gen::PolyResult clet = gen::clet_encode(payload, prng);
   auto clet_trace = arch::execution_trace(clet.bytes, 0);
   auto clet_lifted = ir::lift(clet_trace);
-  semantic::LiftedCode clet_lc{&clet_trace, &clet_lifted.events, clet.bytes};
+  semantic::LiftedCode clet_lc{&clet_trace, &clet_lifted.events, clet.bytes,
+                                  clet_lifted.arena.get()};
   auto m = semantic::match_template(semantic::tmpl_xor_decrypt_loop(), clet_lc);
   std::printf("xor template on Clet instance: %s\n", m ? "MATCH" : "no match");
   return 0;

@@ -5,7 +5,7 @@
 // detection.
 #pragma once
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -18,6 +18,9 @@ namespace senids::ir {
 /// Event::vector value for the x86-64 `syscall` instruction — outside
 /// the 0..255 int-vector space so it can never collide with an int imm8.
 inline constexpr std::uint16_t kSyscallVector = 0x100;
+
+/// Register expressions a syscall event captures: one per RegFamily.
+inline constexpr std::size_t kSyscallRegs = 16;
 
 enum class EventKind : std::uint8_t {
   kRegWrite,   // register family := value
@@ -33,10 +36,10 @@ struct Event {
 
   // kRegWrite
   arch::RegFamily reg{};
-  ExprPtr value;                // also the stored value for kMemWrite
+  ExprPtr value = nullptr;      // also the stored value for kMemWrite
 
   // kMemWrite
-  ExprPtr addr;
+  ExprPtr addr = nullptr;
   std::uint8_t width = 32;      // bits (64 for qword stores; the value
                                 // expression still models the low 32 bits)
 
@@ -51,8 +54,8 @@ struct Event {
   /// kSyscallVector for the x86-64 `syscall` instruction.
   std::uint16_t vector = 0;
   /// Register expressions at the syscall, indexed by RegFamily (rax..r15;
-  /// 32-bit traces populate only the first eight).
-  std::array<ExprPtr, 16> syscall_regs;
+  /// kSyscallRegs slots held in the lift's arena, nullptr for other kinds).
+  const ExprPtr* syscall_regs = nullptr;
 };
 
 }  // namespace senids::ir

@@ -1,9 +1,73 @@
 #include "ir/expr.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdio>
+#include <new>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define SENIDS_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SENIDS_ASAN 1
+#endif
+#endif
+#ifdef SENIDS_ASAN
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 namespace senids::ir {
+
+// ---------------------------------------------------------------- arena
+
+ExprArena::~ExprArena() {
+  // Hand the chunks back to the allocator unpoisoned.
+  for (const Chunk& c : chunks_) ASAN_UNPOISON_MEMORY_REGION(c.mem.get(), c.size);
+}
+
+void* ExprArena::bump(std::size_t bytes) noexcept {
+  std::byte* p = ptr_;
+  ptr_ += bytes;
+  ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+  return p;
+}
+
+void* ExprArena::next_chunk(std::size_t bytes) {
+  // Reuse a recycled chunk when one fits; otherwise grow, doubling the
+  // chunk size up to kMaxChunk (larger requests get a chunk of their own).
+  while (next_ < chunks_.size() && chunks_[next_].size < bytes) ++next_;
+  if (next_ == chunks_.size()) {
+    const std::size_t grown =
+        chunks_.empty() ? kFirstChunk : std::min(kMaxChunk, chunks_.back().size * 2);
+    Chunk c;
+    c.size = std::max(grown, bytes);
+    c.mem = std::make_unique_for_overwrite<std::byte[]>(c.size);
+    ASAN_POISON_MEMORY_REGION(c.mem.get(), c.size);
+    chunks_.push_back(std::move(c));
+  }
+  Chunk& c = chunks_[next_++];
+  ptr_ = c.mem.get();
+  end_ = ptr_ + c.size;
+  return bump(bytes);
+}
+
+void ExprArena::recycle() noexcept {
+  for (std::size_t i = 0; i < next_; ++i) {
+    ASAN_POISON_MEMORY_REGION(chunks_[i].mem.get(), chunks_[i].size);
+  }
+  next_ = 0;
+  ptr_ = end_ = nullptr;
+}
+
+std::size_t ExprArena::capacity() const noexcept {
+  std::size_t n = 0;
+  for (const Chunk& c : chunks_) n += c.size;
+  return n;
+}
 
 namespace {
 
@@ -17,7 +81,8 @@ std::uint8_t compute_value_bits(const Expr& e) noexcept {
     case ExprKind::kConst:
       return bits_of_const(e.cval);
     case ExprKind::kLoad:
-      return e.load_width;
+      // A 64-bit load still models the low 32 bits of the value.
+      return std::min<std::uint8_t>(e.load_width, 32);
     case ExprKind::kBin: {
       const std::uint8_t lb = e.lhs->value_bits;
       const std::uint8_t rb = e.rhs->value_bits;
@@ -58,8 +123,8 @@ std::uint8_t compute_value_bits(const Expr& e) noexcept {
   return 32;
 }
 
-ExprPtr make_node(Expr e) {
-  auto p = std::make_shared<Expr>(std::move(e));
+ExprPtr make_node(ExprArena& a, const Expr& e) {
+  Expr* p = new (a.allocate<Expr>()) Expr(e);
   // Hash is computed bottom-up once; children are already hashed.
   p->cached_hash = recompute_hash(*p);
   p->value_bits = compute_value_bits(*p);
@@ -120,66 +185,76 @@ bool const_chain_foldable(BinOp op) noexcept {
 
 }  // namespace
 
-ExprPtr mk_const(std::uint32_t v) {
+ExprPtr mk_const(ExprArena& a, std::uint32_t v) {
   Expr e;
   e.kind = ExprKind::kConst;
   e.cval = v;
-  return make_node(std::move(e));
+  return make_node(a, e);
 }
 
 ExprPtr mk_init(arch::RegFamily f) {
-  Expr e;
-  e.kind = ExprKind::kInitReg;
-  e.family = f;
-  return make_node(std::move(e));
+  static const std::array<Expr, 16> nodes = [] {
+    std::array<Expr, 16> n{};
+    for (unsigned i = 0; i < n.size(); ++i) {
+      n[i].kind = ExprKind::kInitReg;
+      n[i].family = static_cast<arch::RegFamily>(i);
+      n[i].cached_hash = recompute_hash(n[i]);
+      n[i].value_bits = compute_value_bits(n[i]);
+    }
+    return n;
+  }();
+  return &nodes[static_cast<unsigned>(f) & 15u];
 }
 
-ExprPtr mk_load(ExprPtr addr, unsigned width_bits, std::uint32_t generation) {
+ExprPtr mk_load(ExprArena& a, ExprPtr addr, unsigned width_bits,
+                std::uint32_t generation) {
   Expr e;
   e.kind = ExprKind::kLoad;
-  e.addr = std::move(addr);
+  e.addr = addr;
   e.load_width = static_cast<std::uint8_t>(width_bits);
   e.generation = generation;
-  return make_node(std::move(e));
+  return make_node(a, e);
 }
 
-ExprPtr mk_unknown(std::uint32_t id) {
+ExprPtr mk_unknown(ExprArena& a, std::uint32_t id) {
   Expr e;
   e.kind = ExprKind::kUnknown;
   e.unknown_id = id;
-  return make_node(std::move(e));
+  return make_node(a, e);
 }
 
-bool is_const(const ExprPtr& e, std::uint32_t* value) noexcept {
+bool is_const(ExprPtr e, std::uint32_t* value) noexcept {
   if (!e || e->kind != ExprKind::kConst) return false;
   if (value) *value = e->cval;
   return true;
 }
 
-ExprPtr mk_un(UnOp op, ExprPtr x) {
+ExprPtr mk_un(ExprArena& a, UnOp op, ExprPtr x) {
   std::uint32_t c;
   if (is_const(x, &c)) {
-    return mk_const(op == UnOp::kNot ? ~c : 0u - c);
+    return mk_const(a, op == UnOp::kNot ? ~c : 0u - c);
   }
   // not(not(x)) -> x ; neg(neg(x)) -> x
   if (x->kind == ExprKind::kUn && x->uop == op) return x->lhs;
   Expr e;
   e.kind = ExprKind::kUn;
   e.uop = op;
-  e.lhs = std::move(x);
-  return make_node(std::move(e));
+  e.lhs = x;
+  return make_node(a, e);
 }
 
-ExprPtr mk_bin(BinOp op, ExprPtr l, ExprPtr r) {
+ExprPtr mk_bin(ExprArena& a, BinOp op, ExprPtr l, ExprPtr r) {
   std::uint32_t cl, cr;
   const bool l_const = is_const(l, &cl);
   const bool r_const = is_const(r, &cr);
-  if (l_const && r_const) return mk_const(fold(op, cl, cr));
+  if (l_const && r_const) return mk_const(a, fold(op, cl, cr));
 
   // Canonicalize: subtraction of a constant becomes addition of its
   // negation so `sub eax,-1`, `add eax,1` and `inc eax` all normalize to
   // Add(init(eax), 1).
-  if (op == BinOp::kSub && r_const) return mk_bin(BinOp::kAdd, std::move(l), mk_const(0u - cr));
+  if (op == BinOp::kSub && r_const) {
+    return mk_bin(a, BinOp::kAdd, l, mk_const(a, 0u - cr));
+  }
 
   // Commutative: keep the constant on the right.
   if (commutative(op) && l_const) {
@@ -197,10 +272,10 @@ ExprPtr mk_bin(BinOp op, ExprPtr l, ExprPtr r) {
       case BinOp::kXor:
       case BinOp::kOr:
         if (cr == 0) return l;
-        if (op == BinOp::kOr && cr == 0xffffffffu) return mk_const(0xffffffffu);
+        if (op == BinOp::kOr && cr == 0xffffffffu) return mk_const(a, 0xffffffffu);
         break;
       case BinOp::kAnd:
-        if (cr == 0) return mk_const(0);
+        if (cr == 0) return mk_const(a, 0);
         if (cr == 0xffffffffu) return l;
         // Covering mask: if the mask has ones across every bit the value
         // can occupy, the AND is a no-op; if it has none there, the AND is
@@ -209,15 +284,15 @@ ExprPtr mk_bin(BinOp op, ExprPtr l, ExprPtr r) {
         if (l->value_bits < 32) {
           const std::uint32_t needed = (1u << l->value_bits) - 1;
           if ((cr & needed) == needed) return l;
-          if ((cr & needed) == 0) return mk_const(0);
+          if ((cr & needed) == 0) return mk_const(a, 0);
         }
         // Distribute a constant mask over OR: this collapses the
         // sub-register merge form Or(And(x, ~m), c) that reading e.g. BL
         // back out of EBX produces — And over the merge yields the
         // constant byte again.
         if (l->kind == ExprKind::kBin && l->bop == BinOp::kOr) {
-          return mk_bin(BinOp::kOr, mk_bin(BinOp::kAnd, l->lhs, mk_const(cr)),
-                        mk_bin(BinOp::kAnd, l->rhs, mk_const(cr)));
+          return mk_bin(a, BinOp::kOr, mk_bin(a, BinOp::kAnd, l->lhs, mk_const(a, cr)),
+                        mk_bin(a, BinOp::kAnd, l->rhs, mk_const(a, cr)));
         }
         break;
       case BinOp::kShl:
@@ -229,7 +304,7 @@ ExprPtr mk_bin(BinOp op, ExprPtr l, ExprPtr r) {
         break;
       case BinOp::kMul:
         if (cr == 1) return l;
-        if (cr == 0) return mk_const(0);
+        if (cr == 0) return mk_const(a, 0);
         break;
       default:
         break;
@@ -238,7 +313,7 @@ ExprPtr mk_bin(BinOp op, ExprPtr l, ExprPtr r) {
     if (const_chain_foldable(op) && l->kind == ExprKind::kBin && l->bop == op) {
       std::uint32_t inner;
       if (is_const(l->rhs, &inner)) {
-        return mk_bin(op, l->lhs, mk_const(fold(op, inner, cr)));
+        return mk_bin(a, op, l->lhs, mk_const(a, fold(op, inner, cr)));
       }
     }
   }
@@ -248,7 +323,7 @@ ExprPtr mk_bin(BinOp op, ExprPtr l, ExprPtr r) {
     switch (op) {
       case BinOp::kXor:
       case BinOp::kSub:
-        return mk_const(0);
+        return mk_const(a, 0);
       case BinOp::kAnd:
       case BinOp::kOr:
         return l;
@@ -264,13 +339,13 @@ ExprPtr mk_bin(BinOp op, ExprPtr l, ExprPtr r) {
   Expr e;
   e.kind = ExprKind::kBin;
   e.bop = op;
-  e.lhs = std::move(l);
-  e.rhs = std::move(r);
-  return make_node(std::move(e));
+  e.lhs = l;
+  e.rhs = r;
+  return make_node(a, e);
 }
 
-bool struct_eq(const ExprPtr& a, const ExprPtr& b) noexcept {
-  if (a.get() == b.get()) return true;
+bool struct_eq(ExprPtr a, ExprPtr b) noexcept {
+  if (a == b) return true;
   if (!a || !b) return false;
   if (a->kind != b->kind || a->cached_hash != b->cached_hash) return false;
   switch (a->kind) {
@@ -289,14 +364,14 @@ bool struct_eq(const ExprPtr& a, const ExprPtr& b) noexcept {
   return false;
 }
 
-std::size_t expr_hash(const ExprPtr& e) noexcept {
+std::size_t expr_hash(ExprPtr e) noexcept {
   return e ? e->cached_hash : 0;
 }
 
 std::size_t recompute_hash(const Expr& e) noexcept {
   std::size_t h = static_cast<std::size_t>(e.kind) * 0x9e3779b97f4a7c15ULL;
   auto mix = [&h](std::size_t v) { h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2); };
-  auto child = [](const ExprPtr& c) { return c ? c->cached_hash : 0; };
+  auto child = [](ExprPtr c) { return c ? c->cached_hash : 0; };
   switch (e.kind) {
     case ExprKind::kConst: mix(e.cval); break;
     case ExprKind::kInitReg: mix(static_cast<std::size_t>(e.family)); break;
@@ -336,7 +411,7 @@ const char* binop_name(BinOp op) noexcept {
   return "?";
 }
 
-std::string to_string(const ExprPtr& e) {
+std::string to_string(ExprPtr e) {
   if (!e) return "null";
   char buf[32];
   switch (e->kind) {

@@ -1,8 +1,18 @@
 #include "ir/lifter.hpp"
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 
 #include "arch/decoder.hpp"
+
+#if defined(__SANITIZE_THREAD__)
+#define SENIDS_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SENIDS_TSAN 1
+#endif
+#endif
 
 namespace senids::ir {
 
@@ -16,16 +26,14 @@ using arch::RegWidth;
 
 namespace {
 
-struct Store {
-  ExprPtr addr;
-  std::uint8_t width;
-  ExprPtr value;
-};
-
-/// Mutable machine state threaded through the trace.
+/// Mutable machine state threaded through the trace. Nodes go into
+/// `arena`; events are appended to `events`, and `stores` logs the event
+/// index of every store (both are the caller's reused buffers).
 class Machine {
  public:
-  Machine() {
+  Machine(ExprArena& arena, std::vector<Event>& events,
+          std::vector<std::uint32_t>& stores)
+      : arena(arena), events(events), stores_(stores) {
     for (unsigned f = 0; f < 16; ++f) {
       regs_[f] = mk_init(static_cast<RegFamily>(f));
     }
@@ -41,7 +49,8 @@ class Machine {
     cur_end_offset_ = insn.end_offset();
   }
 
-  std::vector<Event> events;
+  ExprArena& arena;
+  std::vector<Event>& events;
   std::size_t approximated = 0;
 
   // ------------------------------------------------------------ registers
@@ -55,18 +64,20 @@ class Machine {
       case RegWidth::k32:
         return full;
       case RegWidth::k16:
-        return mk_bin(BinOp::kAnd, full, mk_const(0xffff));
+        return mk_bin(arena, BinOp::kAnd, full, mk_const(arena, 0xffff));
       case RegWidth::k8Lo:
-        return mk_bin(BinOp::kAnd, full, mk_const(0xff));
+        return mk_bin(arena, BinOp::kAnd, full, mk_const(arena, 0xff));
       case RegWidth::k8Hi:
-        return mk_bin(BinOp::kAnd, mk_bin(BinOp::kShr, full, mk_const(8)), mk_const(0xff));
+        return mk_bin(arena, BinOp::kAnd,
+                      mk_bin(arena, BinOp::kShr, full, mk_const(arena, 8)),
+                      mk_const(arena, 0xff));
     }
     return full;
   }
 
   void write_reg(Reg r, ExprPtr val, const Instruction& insn, std::size_t idx) {
     ExprPtr full = reg_full(r.family);
-    ExprPtr merged;
+    ExprPtr merged = nullptr;
     switch (r.width) {
       // A 32-bit write zero-extends to 64 on x86-64, so both full widths
       // replace the family expression outright under the low-32 model.
@@ -75,17 +86,21 @@ class Machine {
         merged = std::move(val);
         break;
       case RegWidth::k16:
-        merged = mk_bin(BinOp::kOr, mk_bin(BinOp::kAnd, full, mk_const(0xffff0000u)),
-                        mk_bin(BinOp::kAnd, val, mk_const(0xffff)));
+        merged = mk_bin(arena, BinOp::kOr,
+                        mk_bin(arena, BinOp::kAnd, full, mk_const(arena, 0xffff0000u)),
+                        mk_bin(arena, BinOp::kAnd, val, mk_const(arena, 0xffff)));
         break;
       case RegWidth::k8Lo:
-        merged = mk_bin(BinOp::kOr, mk_bin(BinOp::kAnd, full, mk_const(0xffffff00u)),
-                        mk_bin(BinOp::kAnd, val, mk_const(0xff)));
+        merged = mk_bin(arena, BinOp::kOr,
+                        mk_bin(arena, BinOp::kAnd, full, mk_const(arena, 0xffffff00u)),
+                        mk_bin(arena, BinOp::kAnd, val, mk_const(arena, 0xff)));
         break;
       case RegWidth::k8Hi:
-        merged = mk_bin(BinOp::kOr, mk_bin(BinOp::kAnd, full, mk_const(0xffff00ffu)),
-                        mk_bin(BinOp::kShl, mk_bin(BinOp::kAnd, val, mk_const(0xff)),
-                               mk_const(8)));
+        merged = mk_bin(arena, BinOp::kOr,
+                        mk_bin(arena, BinOp::kAnd, full, mk_const(arena, 0xffff00ffu)),
+                        mk_bin(arena, BinOp::kShl,
+                               mk_bin(arena, BinOp::kAnd, val, mk_const(arena, 0xff)),
+                               mk_const(arena, 8)));
         break;
     }
     regs_[static_cast<unsigned>(r.family)] = merged;
@@ -98,7 +113,17 @@ class Machine {
     events.push_back(std::move(ev));
   }
 
-  ExprPtr fresh_unknown() { return mk_unknown(unknown_counter_++); }
+  /// x + c (sub/dec/stride steps pass the two's-complement constant).
+  ExprPtr plus(ExprPtr x, std::uint32_t c) {
+    return mk_bin(arena, BinOp::kAdd, x, mk_const(arena, c));
+  }
+
+  /// family := family + c (a pointer or counter step).
+  void add_reg(RegFamily f, std::uint32_t c, const Instruction& insn, std::size_t idx) {
+    write_reg(Reg{f, RegWidth::k32}, plus(reg_full(f), c), insn, idx);
+  }
+
+  ExprPtr fresh_unknown() { return mk_unknown(arena, unknown_counter_++); }
 
   /// Offset of the most recent FPU instruction (fnstenv stores it as FIP).
   std::optional<std::size_t> last_fpu_offset;
@@ -113,9 +138,17 @@ class Machine {
     return static_cast<std::uint32_t>(stores_.size());
   }
 
+  /// The current register expressions, copied into the arena (a syscall
+  /// event's captured state).
+  [[nodiscard]] const ExprPtr* snapshot_regs() {
+    ExprPtr* out = arena.allocate<ExprPtr>(kSyscallRegs);
+    std::copy(regs_.begin(), regs_.end(), out);
+    return out;
+  }
+
   /// Split an address into (symbolic base, constant offset) for cheap
   /// no-alias proofs: base+8 and base+16 can never overlap a 4-byte write.
-  static void split_addr(const ExprPtr& e, ExprPtr& base, std::int64_t& off) {
+  static void split_addr(ExprPtr e, ExprPtr& base, std::int64_t& off) {
     if (e->kind == ExprKind::kConst) {
       base = nullptr;
       off = e->cval;
@@ -129,9 +162,8 @@ class Machine {
     }
   }
 
-  static bool provably_distinct(const ExprPtr& a, unsigned wa, const ExprPtr& b,
-                                unsigned wb) {
-    ExprPtr ba, bb;
+  static bool provably_distinct(ExprPtr a, unsigned wa, ExprPtr b, unsigned wb) {
+    ExprPtr ba = nullptr, bb = nullptr;
     std::int64_t oa, ob;
     split_addr(a, ba, oa);
     split_addr(b, bb, ob);
@@ -142,16 +174,17 @@ class Machine {
            ob + static_cast<std::int64_t>(wb / 8) <= oa;
   }
 
-  ExprPtr load(const ExprPtr& addr, unsigned width) {
+  ExprPtr load(ExprPtr addr, unsigned width) {
     // Forward the newest store to a structurally identical address,
     // skipping stores provably disjoint from this load; stop at the first
     // store that may alias.
     for (auto it = stores_.rbegin(); it != stores_.rend(); ++it) {
-      if (it->width == width && struct_eq(it->addr, addr)) return it->value;
-      if (provably_distinct(addr, width, it->addr, it->width)) continue;
+      const Event& st = events[*it];
+      if (st.width == width && struct_eq(st.addr, addr)) return st.value;
+      if (provably_distinct(addr, width, st.addr, st.width)) continue;
       break;
     }
-    return mk_load(addr, width, generation());
+    return mk_load(arena, addr, width, generation());
   }
 
   void store(ExprPtr addr, unsigned width, ExprPtr value, const Instruction& insn,
@@ -163,9 +196,8 @@ class Machine {
     ev.addr = addr;
     ev.width = static_cast<std::uint8_t>(width);
     ev.value = value;
+    stores_.push_back(static_cast<std::uint32_t>(events.size()));
     events.push_back(ev);
-    stores_.push_back(Store{std::move(addr), static_cast<std::uint8_t>(width),
-                            std::move(value)});
   }
 
   // ------------------------------------------------------------- operands
@@ -174,18 +206,18 @@ class Machine {
     if (m.rip) {
       // RIP-relative: a known in-buffer constant, same transparency as the
       // call/pop GetPC constant.
-      return mk_const(static_cast<std::uint32_t>(cur_end_offset_ + m.disp));
+      return mk_const(arena, static_cast<std::uint32_t>(cur_end_offset_ + m.disp));
     }
-    ExprPtr e;
+    ExprPtr e = nullptr;
     if (m.base) e = reg_full(m.base->family);
     if (m.index) {
       ExprPtr idx = reg_full(m.index->family);
-      if (m.scale != 1) idx = mk_bin(BinOp::kMul, idx, mk_const(m.scale));
-      e = e ? mk_bin(BinOp::kAdd, e, idx) : idx;
+      if (m.scale != 1) idx = mk_bin(arena, BinOp::kMul, idx, mk_const(arena, m.scale));
+      e = e ? mk_bin(arena, BinOp::kAdd, e, idx) : idx;
     }
     if (m.disp != 0 || !e) {
-      ExprPtr d = mk_const(static_cast<std::uint32_t>(m.disp));
-      e = e ? mk_bin(BinOp::kAdd, e, d) : d;
+      ExprPtr d = mk_const(arena, static_cast<std::uint32_t>(m.disp));
+      e = e ? mk_bin(arena, BinOp::kAdd, e, d) : d;
     }
     return e;
   }
@@ -203,13 +235,13 @@ class Machine {
         return read_reg(op.reg);
       case OperandKind::kImm:
       case OperandKind::kRel:
-        return mk_const(static_cast<std::uint32_t>(op.imm));
+        return mk_const(arena, static_cast<std::uint32_t>(op.imm));
       case OperandKind::kMem:
         return load(mem_addr(op.mem), width_bits_of(op.mem.width));
       case OperandKind::kNone:
-        return mk_const(0);
+        return mk_const(arena, 0);
     }
-    return mk_const(0);
+    return mk_const(arena, 0);
   }
 
   void write_operand(const Operand& op, ExprPtr val, const Instruction& insn,
@@ -225,7 +257,7 @@ class Machine {
 
   void push_value(ExprPtr val, const Instruction& insn, std::size_t idx) {
     const std::uint32_t stride = long_mode_ ? 0xfffffff8u : 0xfffffffcu;
-    ExprPtr esp = mk_bin(BinOp::kAdd, reg_full(RegFamily::kSp), mk_const(stride));
+    ExprPtr esp = plus(reg_full(RegFamily::kSp), stride);
     regs_[static_cast<unsigned>(RegFamily::kSp)] = esp;
     store(esp, long_mode_ ? 64 : 32, std::move(val), insn, idx);
   }
@@ -233,14 +265,13 @@ class Machine {
   ExprPtr pop_value() {
     ExprPtr esp = reg_full(RegFamily::kSp);
     ExprPtr val = load(esp, long_mode_ ? 64 : 32);
-    regs_[static_cast<unsigned>(RegFamily::kSp)] =
-        mk_bin(BinOp::kAdd, esp, mk_const(long_mode_ ? 8 : 4));
+    regs_[static_cast<unsigned>(RegFamily::kSp)] = plus(esp, long_mode_ ? 8 : 4);
     return val;
   }
 
  private:
   std::array<ExprPtr, 16> regs_;
-  std::vector<Store> stores_;
+  std::vector<std::uint32_t>& stores_;
   std::uint32_t unknown_counter_ = 0;
   bool long_mode_ = false;
   std::size_t cur_end_offset_ = 0;
@@ -279,11 +310,23 @@ void emit_branch(Machine& m, const Instruction& insn, std::size_t idx, bool cond
 }  // namespace
 
 void lift(const std::vector<Instruction>& trace, LiftResult& out) {
-  Machine m;
-  // Reuse the caller's event buffer: the machine appends into it and
-  // hands it back, so repeated lifts amortize the allocation.
-  m.events = std::move(out.events);
-  m.events.clear();
+  // Recycle the arena only when nobody else holds nodes from the last
+  // lift. The acquire fence orders this lift's writes after the reads of
+  // an owner that dropped its reference on another thread (ThreadSanitizer
+  // does not model fences, so its builds leave it out).
+  if (out.arena && out.arena.use_count() == 1) {
+#ifndef SENIDS_TSAN
+    std::atomic_thread_fence(std::memory_order_acquire);
+#endif
+    out.arena->recycle();
+  } else {
+    out.arena = std::make_shared<ExprArena>();
+  }
+  ExprArena& a = *out.arena;
+  // Reuse the caller's buffers: repeated lifts amortize their allocation.
+  out.events.clear();
+  out.store_log.clear();
+  Machine m(a, out.events, out.store_log);
 
   for (std::size_t idx = 0; idx < trace.size(); ++idx) {
     const Instruction& insn = trace[idx];
@@ -291,7 +334,7 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
     m.set_insn(insn);
 
     if (auto op = alu_op(insn.mnemonic)) {
-      ExprPtr res = mk_bin(*op, m.read_operand(ops[0]), m.read_operand(ops[1]));
+      ExprPtr res = mk_bin(a, *op, m.read_operand(ops[0]), m.read_operand(ops[1]));
       m.write_operand(ops[0], std::move(res), insn, idx);
       continue;
     }
@@ -316,39 +359,36 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
         break;
 
       case Mnemonic::kXchg: {
-        ExprPtr a = m.read_operand(ops[0]);
-        ExprPtr b = m.read_operand(ops[1]);
-        m.write_operand(ops[0], std::move(b), insn, idx);
-        m.write_operand(ops[1], std::move(a), insn, idx);
+        ExprPtr x = m.read_operand(ops[0]);
+        ExprPtr y = m.read_operand(ops[1]);
+        m.write_operand(ops[0], y, insn, idx);
+        m.write_operand(ops[1], x, insn, idx);
         break;
       }
 
       case Mnemonic::kInc:
-        m.write_operand(ops[0], mk_bin(BinOp::kAdd, m.read_operand(ops[0]), mk_const(1)),
-                        insn, idx);
+        m.write_operand(ops[0], m.plus(m.read_operand(ops[0]), 1), insn, idx);
         break;
       case Mnemonic::kDec:
-        m.write_operand(ops[0],
-                        mk_bin(BinOp::kAdd, m.read_operand(ops[0]), mk_const(0xffffffffu)),
-                        insn, idx);
+        m.write_operand(ops[0], m.plus(m.read_operand(ops[0]), 0xffffffffu), insn, idx);
         break;
 
       case Mnemonic::kNot:
-        m.write_operand(ops[0], mk_un(UnOp::kNot, m.read_operand(ops[0])), insn, idx);
+        m.write_operand(ops[0], mk_un(a, UnOp::kNot, m.read_operand(ops[0])), insn, idx);
         break;
       case Mnemonic::kNeg:
-        m.write_operand(ops[0], mk_un(UnOp::kNeg, m.read_operand(ops[0])), insn, idx);
+        m.write_operand(ops[0], mk_un(a, UnOp::kNeg, m.read_operand(ops[0])), insn, idx);
         break;
 
       case Mnemonic::kImul:
         if (ops[2].kind != OperandKind::kNone) {
-          m.write_operand(ops[0],
-                          mk_bin(BinOp::kMul, m.read_operand(ops[1]), m.read_operand(ops[2])),
-                          insn, idx);
+          ExprPtr product = mk_bin(a, BinOp::kMul, m.read_operand(ops[1]),
+                                   m.read_operand(ops[2]));
+          m.write_operand(ops[0], product, insn, idx);
         } else if (ops[1].kind != OperandKind::kNone) {
-          m.write_operand(ops[0],
-                          mk_bin(BinOp::kMul, m.read_operand(ops[0]), m.read_operand(ops[1])),
-                          insn, idx);
+          ExprPtr product = mk_bin(a, BinOp::kMul, m.read_operand(ops[0]),
+                                   m.read_operand(ops[1]));
+          m.write_operand(ops[0], product, insn, idx);
         } else {
           m.clobber_reg(RegFamily::kAx, insn, idx);
           m.clobber_reg(RegFamily::kDx, insn, idx);
@@ -436,7 +476,8 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
         // The pushed return address is a known in-buffer constant: this is
         // precisely what makes jmp/call/pop GetPC sequences transparent to
         // the matcher (the pop receives a constant buffer offset).
-        m.push_value(mk_const(static_cast<std::uint32_t>(insn.end_offset())), insn, idx);
+        m.push_value(mk_const(a, static_cast<std::uint32_t>(insn.end_offset())), insn,
+                     idx);
         emit_branch(m, insn, idx, /*conditional=*/false, /*is_call=*/true);
         break;
 
@@ -458,9 +499,7 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
       case Mnemonic::kLoop:
       case Mnemonic::kLoope:
       case Mnemonic::kLoopne:
-        m.write_reg(Reg{RegFamily::kCx, RegWidth::k32},
-                    mk_bin(BinOp::kAdd, m.reg_full(RegFamily::kCx), mk_const(0xffffffffu)),
-                    insn, idx);
+        m.add_reg(RegFamily::kCx, 0xffffffffu, insn, idx);
         emit_branch(m, insn, idx, /*conditional=*/true);
         break;
 
@@ -470,9 +509,7 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
         ev.insn_index = idx;
         ev.insn_offset = insn.offset;
         ev.vector = static_cast<std::uint8_t>(ops[0].imm);
-        for (unsigned f = 0; f < 16; ++f) {
-          ev.syscall_regs[f] = m.reg_full(static_cast<RegFamily>(f));
-        }
+        ev.syscall_regs = m.snapshot_regs();
         m.events.push_back(std::move(ev));
         // Linux convention: the kernel returns in eax.
         m.clobber_reg(RegFamily::kAx, insn, idx);
@@ -487,9 +524,7 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
         ev.insn_index = idx;
         ev.insn_offset = insn.offset;
         ev.vector = kSyscallVector;
-        for (unsigned f = 0; f < 16; ++f) {
-          ev.syscall_regs[f] = m.reg_full(static_cast<RegFamily>(f));
-        }
+        ev.syscall_regs = m.snapshot_regs();
         m.events.push_back(std::move(ev));
         // Return value in rax; the instruction itself clobbers rcx (return
         // RIP) and r11 (saved rflags).
@@ -504,9 +539,7 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
         const unsigned w = Machine::width_bits_of(insn.op_width);
         ExprPtr val = m.read_reg(Reg{RegFamily::kAx, insn.op_width});
         m.store(m.reg_full(RegFamily::kDi), w, std::move(val), insn, idx);
-        m.write_reg(Reg{RegFamily::kDi, RegWidth::k32},
-                    mk_bin(BinOp::kAdd, m.reg_full(RegFamily::kDi), mk_const(w / 8)), insn,
-                    idx);
+        m.add_reg(RegFamily::kDi, w / 8, insn, idx);
         if (insn.prefixes.rep || insn.prefixes.repne) {
           m.clobber_reg(RegFamily::kDi, insn, idx);
           m.clobber_reg(RegFamily::kCx, insn, idx);
@@ -517,43 +550,30 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
       case Mnemonic::kLods: {
         const unsigned w = Machine::width_bits_of(insn.op_width);
         ExprPtr val = m.load(m.reg_full(RegFamily::kSi), w);
-        m.write_reg(Reg{RegFamily::kAx,
-                        insn.op_width == RegWidth::k32 ? RegWidth::k32
-                        : insn.op_width == RegWidth::k16 ? RegWidth::k16 : RegWidth::k8Lo},
-                    std::move(val), insn, idx);
-        m.write_reg(Reg{RegFamily::kSi, RegWidth::k32},
-                    mk_bin(BinOp::kAdd, m.reg_full(RegFamily::kSi), mk_const(w / 8)), insn,
-                    idx);
+        m.write_reg(Reg{RegFamily::kAx, insn.op_width}, std::move(val), insn, idx);
+        m.add_reg(RegFamily::kSi, w / 8, insn, idx);
         break;
       }
       case Mnemonic::kMovs: {
         const unsigned w = Machine::width_bits_of(insn.op_width);
         ExprPtr val = m.load(m.reg_full(RegFamily::kSi), w);
         m.store(m.reg_full(RegFamily::kDi), w, std::move(val), insn, idx);
-        m.write_reg(Reg{RegFamily::kSi, RegWidth::k32},
-                    mk_bin(BinOp::kAdd, m.reg_full(RegFamily::kSi), mk_const(w / 8)), insn,
-                    idx);
-        m.write_reg(Reg{RegFamily::kDi, RegWidth::k32},
-                    mk_bin(BinOp::kAdd, m.reg_full(RegFamily::kDi), mk_const(w / 8)), insn,
-                    idx);
+        m.add_reg(RegFamily::kSi, w / 8, insn, idx);
+        m.add_reg(RegFamily::kDi, w / 8, insn, idx);
         break;
       }
       case Mnemonic::kScas:
       case Mnemonic::kCmps: {
         const unsigned w = Machine::width_bits_of(insn.op_width);
         if (insn.mnemonic == Mnemonic::kCmps) {
-          m.write_reg(Reg{RegFamily::kSi, RegWidth::k32},
-                      mk_bin(BinOp::kAdd, m.reg_full(RegFamily::kSi), mk_const(w / 8)), insn,
-                      idx);
+          m.add_reg(RegFamily::kSi, w / 8, insn, idx);
         }
-        m.write_reg(Reg{RegFamily::kDi, RegWidth::k32},
-                    mk_bin(BinOp::kAdd, m.reg_full(RegFamily::kDi), mk_const(w / 8)), insn,
-                    idx);
+        m.add_reg(RegFamily::kDi, w / 8, insn, idx);
         break;
       }
 
       case Mnemonic::kXlat: {
-        ExprPtr addr = mk_bin(BinOp::kAdd, m.reg_full(RegFamily::kBx),
+        ExprPtr addr = mk_bin(a, BinOp::kAdd, m.reg_full(RegFamily::kBx),
                               m.read_reg(Reg{RegFamily::kAx, RegWidth::k8Lo}));
         m.write_reg(Reg{RegFamily::kAx, RegWidth::k8Lo}, m.load(addr, 8), insn, idx);
         break;
@@ -622,9 +642,9 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
         // exactly like call/pop.
         ExprPtr base = m.mem_addr(ops[0].mem);
         ExprPtr fip = m.last_fpu_offset
-                          ? mk_const(static_cast<std::uint32_t>(*m.last_fpu_offset))
+                          ? mk_const(a, static_cast<std::uint32_t>(*m.last_fpu_offset))
                           : m.fresh_unknown();
-        m.store(mk_bin(BinOp::kAdd, base, mk_const(12)), 32, std::move(fip), insn, idx);
+        m.store(m.plus(base, 12), 32, std::move(fip), insn, idx);
         break;
       }
 
@@ -654,7 +674,6 @@ void lift(const std::vector<Instruction>& trace, LiftResult& out) {
     }
   }
 
-  out.events = std::move(m.events);
   out.approximated = m.approximated;
 }
 

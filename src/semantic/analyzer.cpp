@@ -179,7 +179,7 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
     ir::lift(trace, lifted);
     clock.stop(lift_seconds);
     if (options_.post_lift_hook) options_.post_lift_hook(trace, lifted);
-    const LiftedCode code{&trace, &lifted.events, frame};
+    const LiftedCode code{&trace, &lifted.events, frame, lifted.arena.get()};
     clock.start();
     matcher.reset(code);
     for (std::size_t ti = 0; ti < templates.size(); ++ti) {
@@ -199,6 +199,7 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
         d.entry_offset = entry;
         d.match_offset = m->start_offset;
         d.bindings = std::move(m->bindings);
+        d.arena = std::move(m->arena);
         detections.push_back(std::move(d));
       }
     }

@@ -25,6 +25,10 @@ struct Detection {
   std::size_t entry_offset = 0;  // code entry within the frame
   std::size_t match_offset = 0;  // first matched instruction
   Env bindings;
+  /// Keeps the nodes `bindings` point to alive: while a detection holds
+  /// it, the worker's next lift starts a fresh arena instead of
+  /// recycling this one.
+  std::shared_ptr<const ir::ExprArena> arena;
 };
 
 struct AnalyzerStats {
@@ -55,10 +59,11 @@ struct AnalyzerStats {
 
 /// Reusable per-worker working memory for analyze(). Every buffer the
 /// frame loop fills — candidate runs, entry offsets, the execution
-/// trace, the lifted IR events, plus the scanner's internal arrays —
-/// lives here, so a worker that keeps one scratch across calls analyzes
-/// frames without per-frame heap churn (buffers grow to the high-water
-/// mark and are then reused). Not thread-safe; one per worker thread.
+/// trace, the lifted IR events and the expression arena they point
+/// into, plus the scanner's internal arrays — lives here, so a worker
+/// that keeps one scratch across calls analyzes frames without
+/// per-frame heap churn (buffers grow to the high-water mark and are
+/// then reused). Not thread-safe; one per worker thread.
 /// Passing no scratch (the classic analyze() signature) allocates a
 /// transient one per call, which is the old behaviour exactly.
 struct AnalyzerScratch {

@@ -37,7 +37,7 @@ bool commutative(ir::BinOp op) {
 /// two forms shellcode produces: a folded constant (`xor eax,eax; mov
 /// al,N`) and an unfolded sub-register merge whose masked side cannot
 /// touch the bits asked for (`mov al,N` over unknown eax).
-std::optional<std::uint32_t> known_bits(const ExprPtr& e, std::uint32_t mask) {
+std::optional<std::uint32_t> known_bits(ExprPtr e, std::uint32_t mask) {
   std::uint32_t v;
   if (ir::is_const(e, &v)) return v & mask;
   if (e && e->kind == ExprKind::kBin && e->bop == ir::BinOp::kOr) {
@@ -52,7 +52,7 @@ std::optional<std::uint32_t> known_bits(const ExprPtr& e, std::uint32_t mask) {
   return std::nullopt;
 }
 
-std::optional<std::uint8_t> low_byte_const(const ExprPtr& e) {
+std::optional<std::uint8_t> low_byte_const(ExprPtr e) {
   if (auto v = known_bits(e, 0xffu)) return static_cast<std::uint8_t>(*v);
   return std::nullopt;
 }
@@ -63,7 +63,7 @@ std::optional<std::uint8_t> low_byte_const(const ExprPtr& e) {
 /// `v`. Rotates are evaluated with 8-bit semantics, matching the byte
 /// registers the decoders rotate. Returns nullopt for trees containing
 /// initial-register or unknown leaves (not a pure byte function).
-std::optional<std::uint32_t> eval_byte_fn(const ExprPtr& e, std::uint32_t v) {
+std::optional<std::uint32_t> eval_byte_fn(ExprPtr e, std::uint32_t v) {
   switch (e->kind) {
     case ExprKind::kConst:
       return e->cval;
@@ -109,7 +109,7 @@ std::optional<std::uint32_t> eval_byte_fn(const ExprPtr& e, std::uint32_t v) {
 }
 
 /// Is the stored value a bijective byte transform of the loaded byte?
-bool is_invertible_byte_fn(const ExprPtr& e) {
+bool is_invertible_byte_fn(ExprPtr e) {
   bool seen[256] = {};
   for (std::uint32_t v = 0; v < 256; ++v) {
     auto out = eval_byte_fn(e, v);
@@ -123,29 +123,28 @@ bool is_invertible_byte_fn(const ExprPtr& e) {
 
 /// Strip trailing constant additions: returns the symbolic base (nullptr
 /// for a pure constant) and accumulates the constant displacement.
-const ExprPtr* addr_base(const ExprPtr& e, std::int64_t& off) {
-  const ExprPtr* cur = &e;
-  while ((*cur)->kind == ExprKind::kBin && (*cur)->bop == ir::BinOp::kAdd &&
-         (*cur)->rhs->kind == ExprKind::kConst) {
-    off += static_cast<std::int32_t>((*cur)->rhs->cval);
-    cur = &(*cur)->lhs;
+ExprPtr addr_base(ExprPtr e, std::int64_t& off) {
+  while (e->kind == ExprKind::kBin && e->bop == ir::BinOp::kAdd &&
+         e->rhs->kind == ExprKind::kConst) {
+    off += static_cast<std::int32_t>(e->rhs->cval);
+    e = e->lhs;
   }
-  if ((*cur)->kind == ExprKind::kConst) {
-    off += static_cast<std::int32_t>((*cur)->cval);
+  if (e->kind == ExprKind::kConst) {
+    off += static_cast<std::int32_t>(e->cval);
     return nullptr;
   }
-  return cur;
+  return e;
 }
 
 /// If a == b + c for a constant c, return c. Works whether the pointer is
 /// rooted in an initial register (init(esi) + 1), a derived expression, or
 /// a known buffer constant (jmp/call/pop pointers fold to constants).
-std::optional<std::int64_t> addr_diff(const ExprPtr& a, const ExprPtr& b) {
+std::optional<std::int64_t> addr_diff(ExprPtr a, ExprPtr b) {
   std::int64_t oa = 0, ob = 0;
-  const ExprPtr* ba = addr_base(a, oa);
-  const ExprPtr* bb = addr_base(b, ob);
+  const ExprPtr ba = addr_base(a, oa);
+  const ExprPtr bb = addr_base(b, ob);
   if (ba == nullptr && bb == nullptr) return oa - ob;
-  if (ba && bb && ir::struct_eq(*ba, *bb)) return oa - ob;
+  if (ba && bb && ir::struct_eq(ba, bb)) return oa - ob;
   return std::nullopt;
 }
 
@@ -338,18 +337,18 @@ void TraceMatcher::unwind(std::size_t mark) {
 }
 
 /// Bind a slot to `e`, or verify consistency with an existing binding.
-bool TraceMatcher::bind(std::int32_t slot, const ExprPtr& e) {
+bool TraceMatcher::bind(std::int32_t slot, ExprPtr e) {
   if (slot < 0) return true;
   Slot s = slots_[static_cast<std::size_t>(slot)];
-  if (s.value) return ir::struct_eq(*s.value, e);
-  s.value = &e;
+  if (s.value) return ir::struct_eq(s.value, e);
+  s.value = e;
   set_slot(slot, s);
   return true;
 }
 
 /// Match pattern node `node` against `e`, extending the slots. A failed
 /// match may leave bindings behind; callers unwind to their own mark.
-bool TraceMatcher::pat(std::int32_t node, const ExprPtr& e) {
+bool TraceMatcher::pat(std::int32_t node, ExprPtr e) {
   if (node < 0 || !e) return false;
   const PatNode& p = (*nodes_)[static_cast<std::size_t>(node)];
   switch (p.kind) {
@@ -398,7 +397,7 @@ bool TraceMatcher::pat(std::int32_t node, const ExprPtr& e) {
   return false;
 }
 
-bool TraceMatcher::transform_walk(const PatNode& p, const ExprPtr& e, int& base_leaves,
+bool TraceMatcher::transform_walk(const PatNode& p, ExprPtr e, int& base_leaves,
                                   int& const_leaves, int& ops) {
   // A base match takes priority: the base pattern is typically a load,
   // which can never be an allowed internal node anyway.
@@ -433,18 +432,18 @@ bool TraceMatcher::transform_walk(const PatNode& p, const ExprPtr& e, int& base_
 }
 
 bool TraceMatcher::match_pattern(const PatternProgram& program, std::int32_t root,
-                                 const ExprPtr& e, Env& env) {
+                                 ExprPtr e, Env& env) {
   nodes_ = &program.nodes;
   slots_.assign(program.slot_names.size(), Slot{});
   trail_.clear();
   for (std::size_t i = 0; i < program.slot_names.size(); ++i) {
     if (auto it = env.find(program.slot_names[i]); it != env.end()) {
-      slots_[i].value = &it->second;
+      slots_[i].value = it->second;
     }
   }
   if (!pat(root, e)) return false;
   for (std::size_t i = 0; i < program.slot_names.size(); ++i) {
-    if (slots_[i].value) env.try_emplace(program.slot_names[i], *slots_[i].value);
+    if (slots_[i].value) env.try_emplace(program.slot_names[i], slots_[i].value);
   }
   return true;
 }
@@ -624,7 +623,7 @@ bool TraceMatcher::stmt_matches(const CompiledStmt& s, const Event& ev) {
       if (ref.addr_reg >= 0 && static_cast<arch::RegFamily>(ref.addr_reg) != ev.reg) {
         return false;
       }
-      auto step = addr_diff(ev.value, *ref.value);
+      auto step = addr_diff(ev.value, ref.value);
       if (!step) return false;
       const std::int64_t mag = *step < 0 ? -*step : *step;
       // Real decoders walk their buffer in element-size strides; any
@@ -736,9 +735,10 @@ bool TraceMatcher::dfs(std::size_t stmt_idx, std::size_t event_idx) {
     r.matched_events = matched_;
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       if (slots_[i].value) {
-        r.bindings.emplace(t_->patterns.slot_names[i], *slots_[i].value);
+        r.bindings.emplace(t_->patterns.slot_names[i], slots_[i].value);
       }
     }
+    if (code_.arena) r.arena = code_.arena->weak_from_this().lock();
     r.start_offset = events[matched_.front()].insn_offset;
     result_ = std::move(r);
     return true;

@@ -118,25 +118,25 @@ class TraceMatcher {
 
   /// Match one pattern of `program` against `e` with bindings seeded
   /// from `env`; on success, new bindings are added to `env`.
-  bool match_pattern(const PatternProgram& program, std::int32_t root,
-                     const ir::ExprPtr& e, Env& env);
+  bool match_pattern(const PatternProgram& program, std::int32_t root, ir::ExprPtr e,
+                     Env& env);
 
  private:
   /// Per-slot match state: the bound expression, and for a binding made
   /// by a store's address pattern, the register family and width of
   /// that store (the pointer walk must step that register by that width).
   struct Slot {
-    const ir::ExprPtr* value = nullptr;
+    ir::ExprPtr value = nullptr;
     std::int8_t addr_reg = -1;    // arch::RegFamily, -1 = none
     std::uint8_t addr_width = 0;  // bits, 0 = none
   };
 
   bool dfs(std::size_t stmt_idx, std::size_t event_idx);
   bool stmt_matches(const CompiledStmt& s, const ir::Event& ev);
-  bool pat(std::int32_t node, const ir::ExprPtr& e);
-  bool transform_walk(const PatNode& p, const ir::ExprPtr& e, int& base_leaves,
+  bool pat(std::int32_t node, ir::ExprPtr e);
+  bool transform_walk(const PatNode& p, ir::ExprPtr e, int& base_leaves,
                       int& const_leaves, int& ops);
-  bool bind(std::int32_t slot, const ir::ExprPtr& e);
+  bool bind(std::int32_t slot, ir::ExprPtr e);
   void set_slot(std::int32_t slot, Slot s);
   void unwind(std::size_t mark);
   std::optional<std::size_t> index_of_offset(std::size_t offset);

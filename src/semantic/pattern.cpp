@@ -65,7 +65,7 @@ PatPtr p_transform(PatPtr base, std::vector<ir::BinOp> allowed, bool allow_not,
   return p;
 }
 
-bool match_expr(const PatPtr& p, const ExprPtr& e, Env& env) {
+bool match_expr(const PatPtr& p, ExprPtr e, Env& env) {
   PatternProgram program;
   const std::int32_t root = program.add(p);
   TraceMatcher matcher;

@@ -60,7 +60,7 @@ using Env = std::map<std::string, ir::ExprPtr, std::less<>>;
 
 /// Match `e` against `p`, extending `env`; on failure `env` is unchanged.
 /// A thin wrapper over the compiled matcher (semantic/matcher.hpp).
-bool match_expr(const PatPtr& p, const ir::ExprPtr& e, Env& env);
+bool match_expr(const PatPtr& p, ir::ExprPtr e, Env& env);
 
 /// Debug rendering of a pattern.
 std::string to_string(const PatPtr& p);

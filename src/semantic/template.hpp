@@ -9,6 +9,7 @@
 // trace provides out-of-order-code tolerance.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -96,12 +97,19 @@ struct LiftedCode {
   const std::vector<arch::Instruction>* trace = nullptr;
   const std::vector<ir::Event>* events = nullptr;
   util::ByteView buffer;  // the binary frame the trace was decoded from
+  /// The arena the events' expressions live in (LiftResult::arena). A
+  /// match takes a reference on it, so its bindings stay readable after
+  /// the lift result is reused; nullptr = the caller keeps the nodes
+  /// alive for as long as it reads the bindings.
+  const ir::ExprArena* arena = nullptr;
 };
 
 struct MatchResult {
   /// Event index matched by each statement, parallel to Template::stmts.
   std::vector<std::size_t> matched_events;
   Env bindings;
+  /// Keeps the nodes `bindings` point to alive (see LiftedCode::arena).
+  std::shared_ptr<const ir::ExprArena> arena;
   /// Offset of the first matched instruction within the buffer.
   std::size_t start_offset = 0;
 };

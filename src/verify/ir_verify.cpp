@@ -47,12 +47,12 @@ struct ExprChecker {
   /// generation may not exceed this count.
   std::uint32_t mem_generation = 0;
 
-  void check(const ExprPtr& e, const std::string& where) {
+  void check(ExprPtr e, const std::string& where) {
     if (!e) {
       out.error(where, "null expression");
       return;
     }
-    if (!seen.insert(e.get()).second) return;
+    if (!seen.insert(e).second) return;
     const Expr& x = *e;
     if (x.value_bits > 32) {
       out.error(where, "value_bits " + std::to_string(x.value_bits) + " exceeds 32");
@@ -132,7 +132,7 @@ struct ExprChecker {
 
 }  // namespace
 
-void verify_expr(const ir::ExprPtr& e, const std::string& where, Report& out) {
+void verify_expr(ir::ExprPtr e, const std::string& where, Report& out) {
   // Standalone entry point: no event context, so accept any generation.
   ExprChecker ck{out, {}, ~0u};
   ck.check(e, where);
@@ -213,7 +213,11 @@ Report verify_ir(const std::vector<arch::Instruction>& trace, const ir::LiftResu
         break;
       }
       case EventKind::kSyscall:
-        for (std::size_t r = 0; r < ev.syscall_regs.size(); ++r) {
+        if (!ev.syscall_regs) {
+          out.error(where, "no captured register state");
+          break;
+        }
+        for (std::size_t r = 0; r < ir::kSyscallRegs; ++r) {
           if (!ev.syscall_regs[r]) {
             out.error(where, "null captured register #" + std::to_string(r));
           } else {

@@ -35,6 +35,6 @@ Report verify_ir(const std::vector<arch::Instruction>& trace, const ir::LiftResu
 
 /// Expression-tree well-formedness only (exposed for targeted tests).
 /// `where` labels diagnostics; shared subtrees are visited once.
-void verify_expr(const ir::ExprPtr& e, const std::string& where, Report& out);
+void verify_expr(ir::ExprPtr e, const std::string& where, Report& out);
 
 }  // namespace senids::verify

@@ -296,6 +296,20 @@ TEST(Lifter, StosWritesAtEdi) {
   EXPECT_EQ(to_string(store->addr), "init(edi)");
 }
 
+TEST(Lifter, LodsqWritesFullRax) {
+  // REX.W AD (lodsq, long mode): all of rax receives the 64-bit load. It
+  // is not merged into the low byte of the old rax.
+  const Bytes code = {0x48, 0xAD};
+  auto r = lift(arch::execution_trace(code, 0, 4096, arch::Mode::k64));
+  ASSERT_EQ(r.events.size(), 2u);
+  const Event& rax = r.events[0];
+  EXPECT_EQ(rax.kind, EventKind::kRegWrite);
+  EXPECT_EQ(rax.reg, RegFamily::kAx);
+  EXPECT_EQ(to_string(rax.value), "load64@0(init(esi))");
+  EXPECT_EQ(r.events[1].reg, RegFamily::kSi);
+  EXPECT_EQ(to_string(r.events[1].value), "add(init(esi), 0x8)");
+}
+
 TEST(Lifter, XchgSwapsValues) {
   Asm a;
   a.mov_r32_imm32(R32::eax, 1);
@@ -337,6 +351,63 @@ TEST(Lifter, EmptyTrace) {
   auto r = lift({});
   EXPECT_TRUE(r.events.empty());
   EXPECT_EQ(r.approximated, 0u);
+}
+
+TEST(LifterArena, EventsAreSmall) {
+  // Syscall register snapshots live in the arena, not inline.
+  EXPECT_LT(sizeof(Event), 100u);
+}
+
+TEST(LifterArena, ReusedResultRecyclesOnlyWhenSoleOwner) {
+  Asm a;
+  a.mov_r32_imm32(R32::esi, 0x1000);
+  a.xor_mem8_imm8(R32::esi, 0x95);
+  a.inc_r32(R32::esi);
+  const auto trace = arch::execution_trace(a.finish(), 0);
+
+  LiftResult r;
+  lift(trace, r);
+  const ExprArena* first = r.arena.get();
+  ASSERT_NE(first, nullptr);
+  lift(trace, r);
+  EXPECT_EQ(r.arena.get(), first) << "sole owner: the arena is recycled in place";
+
+  // Someone else holds nodes of the last lift: the next lift must leave
+  // them alone and start a fresh arena.
+  std::shared_ptr<const ExprArena> hold = r.arena;
+  const std::vector<Event> held = r.events;
+  const std::string held_store = to_string(find_mem_write(r)->value);
+  lift(trace, r);
+  EXPECT_NE(r.arena.get(), first);
+  EXPECT_EQ(hold.use_count(), 1);
+  EXPECT_EQ(to_string(held[1].value), held_store);
+
+  // Once the hold is dropped, the new arena is the sole owner again.
+  hold.reset();
+  const ExprArena* second = r.arena.get();
+  lift(trace, r);
+  EXPECT_EQ(r.arena.get(), second);
+}
+
+TEST(LifterArena, ByValueResultsOwnTheirNodes) {
+  Asm a;
+  a.mov_r32_imm32(R32::ebx, 0x31);
+  a.add_r32_imm(R32::ebx, 0x64);
+  a.xor_mem8_r8(R32::eax, R8::bl);
+  const auto kept = lift_code(a.finish());
+  const std::string before = to_string(find_mem_write(kept)->value);
+  // Lifting other code, by value or into a reused result, never touches
+  // the nodes `kept` points to.
+  LiftResult reused;
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    Asm b;
+    b.mov_r32_imm32(R32::ecx, i);
+    b.mov_mem_r32(R32::edi, 0, R32::ecx);
+    lift(arch::execution_trace(b.finish(), 0), reused);
+    (void)lift_code(b.finish());
+  }
+  EXPECT_EQ(to_string(find_mem_write(kept)->value), before);
+  EXPECT_EQ(before, "xor(load8@0(init(eax)), 0x95)");
 }
 
 }  // namespace

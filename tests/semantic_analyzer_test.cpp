@@ -138,6 +138,50 @@ TEST(Analyzer, DetectionCarriesBindings) {
   EXPECT_EQ(k, 0x5du);
 }
 
+/// Every binding of `d`, rendered; reads each bound node.
+std::string render_bindings(const Detection& d) {
+  std::string out;
+  for (const auto& [name, value] : d.bindings) {
+    out += name + "=" + ir::to_string(value) + ";";
+  }
+  return out;
+}
+
+TEST(Analyzer, DetectionBindingsOutliveLaterLiftsInTheSameScratch) {
+  // Bindings point into the arena of the lift that matched. The
+  // detection holds that arena, so the worker's later lifts through the
+  // same scratch start a fresh arena instead of recycling this one.
+  SemanticAnalyzer analyzer(make_xor_only_library());
+  AnalyzerScratch scratch;
+  auto ds = analyzer.analyze(gen::make_iis_asp_overflow_payload(0x5d), nullptr, scratch);
+  ASSERT_EQ(ds.size(), 1u);
+  ASSERT_NE(ds[0].arena, nullptr);
+  const std::string before = render_bindings(ds[0]);
+  // A by-value copy of the lifted trace shares the same guarantee.
+  const ir::LiftResult copy = scratch.lifted;
+  std::string copy_before;
+  for (const ir::Event& ev : copy.events) copy_before += ir::to_string(ev.value);
+
+  util::Prng prng(17);
+  for (int i = 0; i < 8; ++i) {
+    util::Bytes noise(1400);
+    for (auto& b : noise) b = static_cast<std::uint8_t>(prng.next());
+    analyzer.analyze(noise, nullptr, scratch);
+  }
+  auto again =
+      analyzer.analyze(gen::make_iis_asp_overflow_payload(0x11), nullptr, scratch);
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_NE(again[0].arena, ds[0].arena);
+
+  EXPECT_EQ(render_bindings(ds[0]), before);
+  std::uint32_t k = 0;
+  ASSERT_TRUE(ir::is_const(ds[0].bindings.at("K"), &k));
+  EXPECT_EQ(k, 0x5du);
+  std::string copy_after;
+  for (const ir::Event& ev : copy.events) copy_after += ir::to_string(ev.value);
+  EXPECT_EQ(copy_after, copy_before);
+}
+
 TEST(Analyzer, RespectsMaxEntriesOption) {
   SemanticAnalyzer::Options opts;
   opts.max_entries = 1;

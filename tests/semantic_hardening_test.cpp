@@ -27,7 +27,7 @@ std::optional<MatchResult> run_match(const Template& t, const Bytes& code,
                                      std::size_t entry = 0) {
   auto trace = arch::execution_trace(code, entry);
   auto lifted = ir::lift(trace);
-  LiftedCode lc{&trace, &lifted.events, code};
+  LiftedCode lc{&trace, &lifted.events, code, lifted.arena.get()};
   return match_template(t, lc);
 }
 

@@ -21,7 +21,7 @@ std::optional<MatchResult> run_match(const Template& t, const Bytes& code,
                                      std::size_t entry = 0) {
   auto trace = arch::execution_trace(code, entry);
   auto lifted = ir::lift(trace);
-  LiftedCode lc{&trace, &lifted.events, code};
+  LiftedCode lc{&trace, &lifted.events, code, lifted.arena.get()};
   return match_template(t, lc);
 }
 
@@ -422,7 +422,7 @@ TEST(Template, FnstenvDecoderMatchesStatically) {
   auto payload = gen::make_fnstenv_decoder_payload(0x7e);
   auto trace = arch::execution_trace(payload, 0);
   auto lifted = ir::lift(trace);
-  LiftedCode lc{&trace, &lifted.events, payload};
+  LiftedCode lc{&trace, &lifted.events, payload, lifted.arena.get()};
   EXPECT_TRUE(match_template(tmpl_xor_decrypt_loop(), lc).has_value());
 }
 
@@ -436,7 +436,7 @@ TEST(Template, FormatMatchExplainsStatements) {
   auto code = figure_1a();
   auto trace = arch::execution_trace(code, 0);
   auto lifted = ir::lift(trace);
-  LiftedCode lc{&trace, &lifted.events, code};
+  LiftedCode lc{&trace, &lifted.events, code, lifted.arena.get()};
   const Template t = tmpl_xor_decrypt_loop();
   auto m = match_template(t, lc);
   ASSERT_TRUE(m.has_value());

@@ -113,6 +113,17 @@ std::vector<arch::Instruction> tiny_trace() {
   return trace;
 }
 
+TEST(IrVerify, LongModeQwordLoadsLiftClean) {
+  // pop rax; lodsq: each writes rax from a 64-bit load, whose node must
+  // still model a 32-bit value (value_bits <= 32).
+  const util::Bytes code = {0x58, 0x48, 0xAD, 0xF4};
+  auto trace = arch::execution_trace(code, 0, 4096, arch::Mode::k64);
+  ASSERT_EQ(trace.size(), 3u);
+  ir::LiftResult lifted = ir::lift(trace);
+  verify::Report r = verify::verify_ir(trace, lifted);
+  EXPECT_TRUE(r.ok()) << r.str();
+}
+
 TEST(IrVerify, CleanTinyTracePasses) {
   auto trace = tiny_trace();
   ir::LiftResult lifted = ir::lift(trace);
@@ -140,13 +151,14 @@ TEST(IrVerify, FlagsMismatchedEventOffset) {
 }
 
 TEST(IrVerify, FlagsNullStoredValue) {
+  ir::ExprArena arena;
   auto trace = tiny_trace();
   ir::LiftResult lifted;
   ir::Event ev;
   ev.kind = ir::EventKind::kMemWrite;
   ev.insn_index = 0;
   ev.insn_offset = 0;
-  ev.addr = ir::mk_const(0x1000);
+  ev.addr = ir::mk_const(arena, 0x1000);
   ev.value = nullptr;
   ev.width = 8;
   lifted.events.push_back(ev);
@@ -156,14 +168,15 @@ TEST(IrVerify, FlagsNullStoredValue) {
 }
 
 TEST(IrVerify, FlagsImpossibleStoreWidth) {
+  ir::ExprArena arena;
   auto trace = tiny_trace();
   ir::LiftResult lifted;
   ir::Event ev;
   ev.kind = ir::EventKind::kMemWrite;
   ev.insn_index = 0;
   ev.insn_offset = 0;
-  ev.addr = ir::mk_const(0x1000);
-  ev.value = ir::mk_const(0x41);
+  ev.addr = ir::mk_const(arena, 0x1000);
+  ev.value = ir::mk_const(arena, 0x41);
   ev.width = 24;
   lifted.events.push_back(ev);
   verify::Report r = verify::verify_ir(trace, lifted);
@@ -172,19 +185,20 @@ TEST(IrVerify, FlagsImpossibleStoreWidth) {
 }
 
 TEST(IrVerify, FlagsBinaryNodeMissingOperand) {
+  ir::ExprArena arena;
   auto trace = tiny_trace();
-  auto broken = std::make_shared<ir::Expr>();
-  broken->kind = ir::ExprKind::kBin;
-  broken->bop = ir::BinOp::kXor;
-  broken->lhs = ir::mk_const(1);
-  broken->rhs = nullptr;
+  ir::Expr broken;  // hand-built, bypassing the factories
+  broken.kind = ir::ExprKind::kBin;
+  broken.bop = ir::BinOp::kXor;
+  broken.lhs = ir::mk_const(arena, 1);
+  broken.rhs = nullptr;
   ir::LiftResult lifted;
   ir::Event ev;
   ev.kind = ir::EventKind::kRegWrite;
   ev.insn_index = 0;
   ev.insn_offset = 0;
   ev.reg = arch::RegFamily::kAx;
-  ev.value = broken;
+  ev.value = &broken;
   lifted.events.push_back(ev);
   verify::Report r = verify::verify_ir(trace, lifted);
   EXPECT_FALSE(r.ok());
@@ -193,18 +207,18 @@ TEST(IrVerify, FlagsBinaryNodeMissingOperand) {
 
 TEST(IrVerify, FlagsStaleCachedHash) {
   auto trace = tiny_trace();
-  auto node = std::make_shared<ir::Expr>();
-  node->kind = ir::ExprKind::kConst;
-  node->cval = 0x41;
-  node->value_bits = 7;
-  node->cached_hash = 12345;  // not what the factories compute
+  ir::Expr node;
+  node.kind = ir::ExprKind::kConst;
+  node.cval = 0x41;
+  node.value_bits = 7;
+  node.cached_hash = 12345;  // not what the factories compute
   ir::LiftResult lifted;
   ir::Event ev;
   ev.kind = ir::EventKind::kRegWrite;
   ev.insn_index = 0;
   ev.insn_offset = 0;
   ev.reg = arch::RegFamily::kAx;
-  ev.value = node;
+  ev.value = &node;
   lifted.events.push_back(ev);
   verify::Report r = verify::verify_ir(trace, lifted);
   EXPECT_FALSE(r.ok());
@@ -212,6 +226,7 @@ TEST(IrVerify, FlagsStaleCachedHash) {
 }
 
 TEST(IrVerify, FlagsLoadFromFutureGeneration) {
+  ir::ExprArena arena;
   auto trace = tiny_trace();
   ir::LiftResult lifted;
   ir::Event ev;
@@ -219,7 +234,7 @@ TEST(IrVerify, FlagsLoadFromFutureGeneration) {
   ev.insn_index = 0;
   ev.insn_offset = 0;
   ev.reg = arch::RegFamily::kAx;
-  ev.value = ir::mk_load(ir::mk_const(0x1000), 8, /*generation=*/5);
+  ev.value = ir::mk_load(arena, ir::mk_const(arena, 0x1000), 8, /*generation=*/5);
   lifted.events.push_back(ev);
   verify::Report r = verify::verify_ir(trace, lifted);
   EXPECT_FALSE(r.ok());

@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
       // Re-run the match at the detected entry to show the explanation.
       auto mtrace = arch::execution_trace(code, d.entry_offset);
       auto mlift = ir::lift(mtrace);
-      semantic::LiftedCode lc{&mtrace, &mlift.events, code};
+      semantic::LiftedCode lc{&mtrace, &mlift.events, code, mlift.arena.get()};
       for (const auto& t : analyzer.templates()) {
         if (t.name != d.template_name) continue;
         if (auto m = semantic::match_template(t, lc)) {
