@@ -142,7 +142,7 @@ int main() {
       if (next_crii > 0 && prng.chance(0.02)) {
         const net::Endpoint infected{
             net::Ipv4Addr::from_octets(203, 0, 113, static_cast<std::uint8_t>(next_crii)),
-            4000 + static_cast<std::uint16_t>(next_crii)};
+            static_cast<std::uint16_t>(4000 + next_crii)};
         tb.add_syn_scan(infected, net::Ipv4Addr::from_octets(10, 1, 200, 1), 80, 6);
         gen::CodeRedOptions cr_opts;
         cr_opts.vary_padding = true;

@@ -6,12 +6,12 @@
 //      counted (n) and becomes suspicious at a threshold (t).
 //
 // Configuration vs. state: the honeypot registry, dark prefixes, and
-// options are *configuration* — registered before traffic flows and
-// read-only after. The taint set and the per-source probe counters are
-// *state* — mutated per packet. The sharded engine exploits the split:
-// every shard reads the one shared configuration but owns a private
-// ClassifierState for the sources routed to it, so the packet hot path
-// needs no cross-shard synchronization.
+// options are *configuration*, held by TrafficClassifier, registered
+// before traffic flows and read-only after. The taint set and the
+// per-source probe counters are *state*, held in a ClassifierState that
+// each stage-(a) pipeline (an engine shard, a LiveSession) owns. Many
+// pipelines can therefore classify concurrently against one classifier
+// with no synchronization on the packet hot path.
 #pragma once
 
 #include <cstdint>
@@ -81,14 +81,13 @@ class DarkSpaceCounters {
   std::unordered_map<std::uint32_t, Entry> counts_;
 };
 
-/// Dark-space scheme: the prefix list and threshold are configuration;
-/// the probe counters are state. The embedded counter table serves the
-/// classic single-state API (record_probe/count); shards hold their own
-/// DarkSpaceCounters and record through record_probe_in.
+/// Dark-space scheme configuration: the prefix list, the threshold and
+/// the counter cap. The probe counters themselves are caller-owned
+/// DarkSpaceCounters (see ClassifierState).
 class DarkSpaceDetector {
  public:
   explicit DarkSpaceDetector(std::size_t threshold = 5, std::size_t max_sources = 0)
-      : threshold_(threshold), max_sources_(max_sources), counters_(max_sources) {}
+      : threshold_(threshold), max_sources_(max_sources) {}
 
   void add_unused_prefix(Prefix p) { prefixes_.push_back(p); }
   [[nodiscard]] bool is_unused(net::Ipv4Addr addr) const {
@@ -98,33 +97,23 @@ class DarkSpaceDetector {
     return false;
   }
 
-  /// Record one probe to an unused address; returns the source's count n.
-  std::size_t record_probe(net::Ipv4Addr src) { return counters_.increment(src.value); }
-  /// Record into external (shard-owned) counters; configuration is only
-  /// read, so concurrent shards may call this with disjoint `counters`.
+  /// Record one probe to an unused address into `counters`; returns the
+  /// source's count n. Configuration is only read, so concurrent
+  /// pipelines may call this with disjoint `counters`.
   std::size_t record_probe_in(DarkSpaceCounters& counters, net::Ipv4Addr src) const {
     return counters.increment(src.value);
   }
 
-  [[nodiscard]] std::size_t count(net::Ipv4Addr src) const {
-    return counters_.count(src.value);
-  }
   [[nodiscard]] std::size_t threshold() const noexcept { return threshold_; }
-  /// Evictions from the embedded counter table (single-state API).
-  [[nodiscard]] std::size_t evictions() const noexcept { return counters_.evictions(); }
-  /// A fresh counter table sized by this detector's cap (shard setup).
+  /// A fresh counter table sized by this detector's cap.
   [[nodiscard]] DarkSpaceCounters make_counters() const {
     return DarkSpaceCounters(max_sources_);
   }
-  /// The embedded counter table itself (the single-state engine path
-  /// records into it and reads its eviction count per capture).
-  [[nodiscard]] DarkSpaceCounters& counters() noexcept { return counters_; }
 
  private:
   std::size_t threshold_;
   std::size_t max_sources_;
   std::vector<Prefix> prefixes_;
-  DarkSpaceCounters counters_;  // embedded default state
 };
 
 enum class Verdict : std::uint8_t { kIgnore, kAnalyze };
@@ -143,8 +132,8 @@ struct ClassifierOptions {
   bool analyze_everything = false;
 };
 
-/// Per-shard mutable classification state: the taint set plus dark-space
-/// probe counters for the sources one shard owns. Obtain via
+/// Mutable classification state of one stage-(a) pipeline: the taint
+/// set plus dark-space probe counters for the sources it sees. Obtain via
 /// TrafficClassifier::make_state() so the counter cap matches the
 /// configured option.
 struct ClassifierState {
@@ -152,19 +141,13 @@ struct ClassifierState {
   DarkSpaceCounters dark_counts;
 };
 
-/// Stateful classifier. observe() must see every packet in order; it
+/// Read-only classifier configuration. observe_in() must see every packet
+/// of a pipeline in order, against that pipeline's ClassifierState; it
 /// returns the verdict for that packet. Sources stay tainted for the
-/// remainder of the run (the paper takes "further action ... against the
-/// offending IP address").
-///
-/// Two usage shapes:
-///  - Single-state (observe/check/is_tainted): state lives inside the
-///    classifier — the 1-shard PipelineShard (own_state == false), which
-///    both the 1-shard engine and every LiveSession run.
-///  - Shard-external (make_state + observe_in/check_in, all const on the
-///    classifier): configuration is shared read-only across shards, each
-///    of which mutates only its own ClassifierState. Safe concurrently
-///    as long as no configuration mutator runs while traffic flows.
+/// lifetime of the state (the paper takes "further action ... against the
+/// offending IP address"). Every classifying call is const, so any number
+/// of pipelines may share one classifier as long as no configuration
+/// mutator (honeypots(), dark_space()) runs while traffic flows.
 class TrafficClassifier {
  public:
   explicit TrafficClassifier(ClassifierOptions options = ClassifierOptions{});
@@ -172,27 +155,15 @@ class TrafficClassifier {
   HoneypotRegistry& honeypots() noexcept { return honeypots_; }
   DarkSpaceDetector& dark_space() noexcept { return dark_space_; }
 
-  Verdict observe(const net::ParsedPacket& pkt) {
-    return observe_into(tainted_, dark_counts(), pkt);
-  }
-
-  /// Verdict without state update (used for reassembled datagrams, whose
-  /// fragments were already observed individually).
-  [[nodiscard]] Verdict check(const net::ParsedPacket& pkt) const {
-    if (options_.analyze_everything) return Verdict::kAnalyze;
-    return tainted_.contains(pkt.ip.src.value) ? Verdict::kAnalyze : Verdict::kIgnore;
-  }
-
-  /// Fresh shard-local state with the configured dark-counter cap.
+  /// Fresh pipeline state with the configured dark-counter cap.
   [[nodiscard]] ClassifierState make_state() const {
     return ClassifierState{{}, dark_space_.make_counters()};
   }
-  /// observe() against external state; const because only `state` and the
-  /// process-wide metric counters are mutated.
-  Verdict observe_in(ClassifierState& state, const net::ParsedPacket& pkt) const {
-    return observe_into(state.tainted, state.dark_counts, pkt);
-  }
-  /// check() against external state.
+  /// Classify one packet, updating `state`; const because only `state`
+  /// and the process-wide metric counters are mutated.
+  Verdict observe_in(ClassifierState& state, const net::ParsedPacket& pkt) const;
+  /// Verdict without state update (used for reassembled datagrams, whose
+  /// fragments were already observed individually).
   [[nodiscard]] Verdict check_in(const ClassifierState& state,
                                  const net::ParsedPacket& pkt) const {
     if (options_.analyze_everything) return Verdict::kAnalyze;
@@ -200,21 +171,12 @@ class TrafficClassifier {
                                                     : Verdict::kIgnore;
   }
 
-  [[nodiscard]] bool is_tainted(net::Ipv4Addr src) const {
-    return tainted_.contains(src.value);
-  }
-  [[nodiscard]] std::size_t tainted_count() const noexcept { return tainted_.size(); }
   [[nodiscard]] const ClassifierOptions& options() const noexcept { return options_; }
 
  private:
-  Verdict observe_into(std::unordered_set<std::uint32_t>& tainted,
-                       DarkSpaceCounters& counts, const net::ParsedPacket& pkt) const;
-  DarkSpaceCounters& dark_counts() noexcept;
-
   ClassifierOptions options_;
   HoneypotRegistry honeypots_;
   DarkSpaceDetector dark_space_;
-  std::unordered_set<std::uint32_t> tainted_;  // embedded default state
 };
 
 }  // namespace senids::classify

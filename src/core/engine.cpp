@@ -5,6 +5,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <optional>
 #include <unordered_map>
 
@@ -337,22 +338,16 @@ NidsEngine::~NidsEngine() = default;
 void NidsEngine::ensure_shards() {
   if (!shards_.empty()) return;
   const std::size_t n = std::max<std::size_t>(1, options_.shards);
-  // A lone shard routes verdicts through the classifier's embedded state
-  // (own_state == false) so classifier().is_tainted() keeps observing
-  // what single-shard runs always exposed.
-  const bool own_state = n > 1;
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<PipelineShard>(i, options_, classifier_, own_state));
+    shards_.push_back(
+        std::make_unique<PipelineShard>(i, options_, classifier_, /*labelled_series=*/n > 1));
   }
 }
 
 bool NidsEngine::is_tainted(net::Ipv4Addr src) const {
-  if (classifier_.is_tainted(src)) return true;
-  for (const auto& shard : shards_) {
-    if (shard->is_tainted(src)) return true;
-  }
-  return false;
+  return std::any_of(shards_.begin(), shards_.end(),
+                     [src](const auto& shard) { return shard->is_tainted(src); });
 }
 
 NidsEngine::NidsEngine(NidsOptions options, std::vector<semantic::Template> templates)
@@ -705,80 +700,67 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
         // acquisition; verdicts are per-unit and the report is fully
         // sorted, so neither can change the output.
         obs::WorkerSlot& wslot = obs::WorkerTable::instance().slot("worker", i);
-        wslot.begin_run();
+        // One timestamp per transition: blocked in pop_batch is *idle*
+        // (starved for input); setup, each batch and the final merge are
+        // *busy*.
+        std::uint64_t mark = wslot.begin_run();
         NidsStats local;
         std::vector<Alert> alerts;
         AnalysisContext ctx = make_analysis_context();
         std::vector<Unit> batch;
         for (;;) {
-          // Blocked in pop_batch is *idle* (starved for input); everything
-          // between dequeue and the next pop is *busy*.
-          util::WallTimer idle_timer;
+          wslot.busy_since(mark);
           const std::size_t popped = queue.pop_batch(batch, options_.unit_batch);
-          wslot.add_idle(idle_timer.seconds());
+          wslot.idle_since(mark);
           if (popped == 0) break;
           wslot.heartbeat();
-          util::WallTimer busy_timer;
           for (Unit& unit : batch) {
             auto found = analyze_payload(ctx, unit.payload, unit.meta, &local, unit.unit_id);
             alerts.insert(alerts.end(), std::make_move_iterator(found.begin()),
                           std::make_move_iterator(found.end()));
           }
-          wslot.add_busy(busy_timer.seconds());
           wslot.add_units(batch.size());
         }
         merge_point.merge(std::move(alerts), local);
-        wslot.end_run();
+        wslot.busy_since(mark);
+        wslot.end_run(mark);
       });
     }
   }
 
   // Per-shard unit sinks. With workers the unit goes through the shared
-  // queue; without, it is analyzed inline on the emitting shard's thread
-  // — shard-local stages (b)-(e): each shard gets its own
-  // AnalysisContext, and results land in that shard's stats and alert
-  // list (merged after the shards join — analyze_payload is const and
-  // safe to call concurrently). With threads == 0, shards == N this is
-  // how the whole pipeline scales N ways with no global queue.
-  std::vector<std::vector<Alert>> inline_alerts(nshards);
-  std::vector<AnalysisContext> inline_ctx;
-  if (!workers) {
-    inline_ctx.reserve(nshards);
-    for (std::size_t si = 0; si < nshards; ++si) inline_ctx.push_back(make_analysis_context());
-  }
+  // queue; without, an InlineAnalysis per shard analyzes it on the
+  // emitting shard's thread with its own AnalysisContext, and results
+  // land in that shard's stats and alert list (merged after the shards
+  // join; analyze_payload is const and safe to call concurrently). With
+  // shards == N this is how the whole pipeline scales N ways with no
+  // global queue.
+  std::deque<InlineAnalysis> inline_analysis;
   std::vector<PipelineShard::UnitSink> sinks;
   sinks.reserve(nshards);
   for (std::size_t si = 0; si < nshards; ++si) {
-    sinks.push_back([this, si, workers, &queue, &inline_alerts, &inline_ctx](
-                        util::Bytes payload, const Alert& meta, std::uint64_t unit_id) {
-      if (payload.empty()) return;
-      if (workers) {
+    if (workers) {
+      sinks.push_back([&queue](util::Bytes payload, const Alert& meta, std::uint64_t unit_id) {
         const std::size_t weight = payload.size();
         queue.push(Unit{std::move(payload), meta, unit_id}, weight);
-      } else {
-        auto alerts =
-            analyze_payload(inline_ctx[si], payload, meta, &shards_[si]->stats(), unit_id);
-        auto& out = inline_alerts[si];
-        out.insert(out.end(), std::make_move_iterator(alerts.begin()),
-                   std::make_move_iterator(alerts.end()));
-      }
-    });
+      });
+    } else {
+      sinks.push_back(inline_analysis.emplace_back(*this, *shards_[si]).sink());
+    }
   }
 
   for (auto& shard : shards_) shard->begin_capture();
 
   if (nshards == 1) {
     // ------------------------------- stage (a), single shard (no dispatcher)
-    // Classification runs directly on the caller thread; classify wall is
-    // the caller's stage-(a) wall minus any inline analysis it triggered.
+    // Classification runs directly on the caller thread.
     PipelineShard& shard = *shards_[0];
     util::WallTimer classify_timer;
     for (const pcap::Record& rec : capture.records) {
       shard.process_frame(rec.data, rec.ts_sec, rec.ts_usec, sinks[0]);
     }
     shard.finish_capture(sinks[0]);
-    NidsStats& stats = shard.stats();
-    stats.classify_seconds = classify_timer.seconds() - stats.analysis_seconds;
+    shard.charge_producer_wall(classify_timer.seconds());
   } else {
     // --------------------------------- stage (a), source-affine shard fanout
     // The caller thread only peeks each frame's IPv4 source and routes the
@@ -808,32 +790,23 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
           PipelineShard& shard = *shards_[si];
           auto& q = *shard_queues[si];
           obs::WorkerSlot& sslot = obs::WorkerTable::instance().slot("shard", si);
-          sslot.begin_run();
-          double wall = 0.0;
+          // Blocked on the dispatch queue is idle; each batch and the final
+          // drain are busy, and that busy wall is the shard's producer wall.
+          std::uint64_t mark = sslot.begin_run();
           for (;;) {
-            util::WallTimer idle_timer;  // blocked on the dispatch queue
             auto batch = q.pop();
-            sslot.add_idle(idle_timer.seconds());
+            sslot.idle_since(mark);
             if (!batch) break;
             sslot.heartbeat();
-            util::WallTimer batch_timer;
             for (const pcap::Record* rec : *batch) {
               shard.process_frame(rec->data, rec->ts_sec, rec->ts_usec, sinks[si]);
             }
-            const double busy = batch_timer.seconds();
-            wall += busy;
-            sslot.add_busy(busy);
+            shard.charge_producer_wall(sslot.busy_since(mark));
             sslot.add_units(batch->size());
           }
-          util::WallTimer drain_timer;
           shard.finish_capture(sinks[si]);
-          const double drain = drain_timer.seconds();
-          wall += drain;
-          sslot.add_busy(drain);
-          // Same stage-(a) definition the caller thread uses at
-          // shards == 1: producer wall minus inline analysis.
-          shard.stats().classify_seconds = wall - shard.stats().analysis_seconds;
-          sslot.end_run();
+          shard.charge_producer_wall(sslot.busy_since(mark));
+          sslot.end_run(mark);
         });
       }
 
@@ -863,9 +836,9 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
 
   // Fold per-shard stage-(a) results. The shard threads are joined, and
   // the worker queue is still open, so nothing else touches report here.
-  for (std::size_t si = 0; si < nshards; ++si) {
-    merge_stats(report.stats, shards_[si]->stats());
-    auto& found = inline_alerts[si];
+  for (const auto& shard : shards_) merge_stats(report.stats, shard->stats());
+  for (InlineAnalysis& analysis : inline_analysis) {
+    std::vector<Alert>& found = analysis.alerts();
     report.alerts.insert(report.alerts.end(), std::make_move_iterator(found.begin()),
                          std::make_move_iterator(found.end()));
   }

@@ -6,8 +6,8 @@
 // is decomposed into N source-affine shards (NidsOptions::shards): the
 // dispatcher (caller thread) peeks only each frame's IPv4 source and
 // routes the record by source hash, and each shard owns the classifier
-// scan-counting state, Defragmenter, and bounded flow table for the
-// sources routed to it — per-source dark-space probe counting and
+// state (taint set and dark-space counters), Defragmenter, and bounded
+// flow table for the sources routed to it — per-source dark-space probe counting and
 // 5-tuple flow reassembly (the flow key includes the source) stay
 // correct within one shard with no cross-shard synchronization on the
 // hot path. With shards == 1 (the default) stage (a) runs directly on
@@ -30,10 +30,10 @@
 // units, not dropped). Alerts are merged and sorted on the full key at
 // the end, so 1-shard and N-shard runs produce byte-identical reports.
 // With threads <= 1 the queue/pool machinery is bypassed entirely and
-// units are analyzed shard-local — inline on the shard consumer thread
-// that formed them, each shard with its own AnalysisContext; with
-// threads == 0 and shards == N that is the explicit scale-by-shards
-// mode (the whole pipeline parallelizes N ways with no global queue).
+// units are analyzed shard-local — inline on the shard thread that
+// formed them, each shard with its own AnalysisContext; with shards == N
+// that is the explicit scale-by-shards mode (the whole pipeline
+// parallelizes N ways with no global queue).
 #pragma once
 
 #include <array>
@@ -72,13 +72,12 @@ struct NidsOptions {
   classify::ClassifierOptions classifier;
   extract::ExtractorOptions extractor;
   semantic::SemanticAnalyzer::Options analyzer;
-  /// Worker threads for the analysis stages (b)-(e). 1 = fully serial
-  /// (the default). 0 = shard-local: no worker pool or global unit
-  /// queue; every unit is analyzed inline on the shard consumer thread
-  /// that formed it, so with shards == N the entire pipeline scales N
-  /// ways with no cross-shard handoff (0 and 1 are identical when
-  /// shards == 1). With threads > 1, a pool of that many workers drains
-  /// one shared unit queue.
+  /// Worker threads for the analysis stages (b)-(e). <= 1 (0 and 1 are
+  /// one mode; 1 is the default) = inline on the shard thread that formed
+  /// the unit: no worker pool or global unit queue, so with shards == 1
+  /// the run is fully serial and with shards == N the entire pipeline
+  /// scales N ways with no cross-shard handoff. With threads > 1, a pool
+  /// of that many workers drains one shared unit queue.
   std::size_t threads = 1;
   /// Units each analysis worker dequeues per queue-lock acquisition
   /// (threads > 1 only). Batching amortizes the queue mutex and the
@@ -301,16 +300,16 @@ class NidsEngine {
   NidsEngine& operator=(NidsEngine&&) noexcept;
   ~NidsEngine();
 
-  /// Stateful classifier (register honeypots / dark prefixes here —
-  /// that part is shared, read-only configuration for every shard). Its
-  /// *embedded* taint/count state is only fed by single-shard runs; with
-  /// shards > 1 that state lives per shard, so query taint through
-  /// is_tainted() below rather than classifier().is_tainted().
+  /// Classifier configuration: register honeypots / dark prefixes here,
+  /// before the first capture or session. It holds no taint state: that
+  /// lives in each shard and each LiveSession, so every stage-(a)
+  /// pipeline reads this configuration without synchronization.
   classify::TrafficClassifier& classifier() noexcept { return classifier_; }
 
-  /// Whether any shard (or the classifier's embedded state) has tainted
-  /// `src`. The shard-count-independent way to ask "did classification
-  /// flag this source".
+  /// Whether any of this engine's shards has tainted `src` (taint from
+  /// process_capture; a LiveSession keeps its own). The
+  /// shard-count-independent way to ask "did classification flag this
+  /// source".
   [[nodiscard]] bool is_tainted(net::Ipv4Addr src) const;
 
   /// Run the full pipeline over a capture (streaming: analysis workers
@@ -378,7 +377,7 @@ class NidsEngine {
   std::unique_ptr<cache::VerdictCache> verdict_cache_;
   std::unique_ptr<triage::TriageFilter> triage_;
   /// Stage-(a) shards; persist across captures (taint state outlives a
-  /// capture, like the classifier's embedded state always has).
+  /// capture).
   std::vector<std::unique_ptr<PipelineShard>> shards_;
 };
 

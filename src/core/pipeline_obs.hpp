@@ -89,6 +89,14 @@ inline void publish_unit(const NidsStats& unit, std::size_t alerts) {
   add(pm.frames, unit.frames_extracted);
   add(pm.bytes_analyzed, unit.bytes_analyzed);
   add(pm.alerts, alerts);
+  const semantic::AnalyzerStats& an = unit.analyzer;
+  add(pm.analyzer_frames, an.frames);
+  add(pm.analyzer_runs, an.candidate_runs);
+  add(pm.analyzer_traces, an.traces);
+  add(pm.analyzer_insns_lifted, an.instructions_lifted);
+  add(pm.analyzer_matches_tried, an.template_matches_tried);
+  add(pm.analyzer_entry_budget_exhausted, an.entry_budget_exhausted);
+  add(pm.analyzer_insn_budget_exhausted, an.insn_budget_exhausted);
   add(pm.triage_screened, unit.triage_screened);
   add(pm.triage_escalated, unit.triage_escalated);
   add(pm.triage_rejected, unit.triage_rejected);

@@ -16,53 +16,44 @@ std::atomic<std::size_t> next_session_slot{0};
 
 LiveSession::LiveSession(NidsEngine& engine, AlertSink sink)
     : engine_(engine),
-      shard_(0, engine.options(), engine.classifier(), /*own_state=*/false),
-      ctx_(engine.make_analysis_context()),
+      shard_(0, engine.options(), engine.classifier(), /*labelled_series=*/false),
+      analysis_(engine, shard_),
       alert_sink_(std::move(sink)),
-      unit_sink_([this](util::Bytes payload, const Alert& meta, std::uint64_t unit_id) {
-        for (const Alert& alert :
-             engine_.analyze_payload(ctx_, payload, meta, &shard_.stats(), unit_id)) {
-          ++alerts_emitted_;
-          if (alert_sink_) alert_sink_(alert);
-        }
-        worker_slot_.add_units();
-      }),
       worker_slot_(obs::WorkerTable::instance().slot("session", next_session_slot++)) {
   shard_.begin_capture();
-  worker_slot_.begin_run();
+  attribution_mark_ = worker_slot_.begin_run();
 }
 
-LiveSession::~LiveSession() { worker_slot_.end_run(); }
+LiveSession::~LiveSession() {
+  worker_slot_.idle_since(attribution_mark_);
+  worker_slot_.end_run(attribution_mark_);
+}
 
 template <typename Body>
 void LiveSession::attributed(Body&& body) {
-  const obs::WorkerTable& table = obs::WorkerTable::instance();
-  const std::uint64_t start_ns = table.now_ns();
   // The gap since the previous call returned is the caller thread
   // waiting for traffic (idle); the call itself is busy.
-  if (last_call_end_ns_ != 0) {
-    worker_slot_.add_idle(static_cast<double>(start_ns - last_call_end_ns_) * 1e-9);
-  }
+  worker_slot_.idle_since(attribution_mark_);
   worker_slot_.heartbeat();
+  const std::size_t units_before = shard_.stats().units_analyzed;
   body();
-  last_call_end_ns_ = table.now_ns();
-  const double wall = static_cast<double>(last_call_end_ns_ - start_ns) * 1e-9;
-  worker_slot_.add_busy(wall);
-  // The 1-shard engine's stage-(a) definition: producer wall (every
-  // feed() and finish() so far) minus the inline analysis it triggered.
-  producer_seconds_ += wall;
-  NidsStats& stats = shard_.stats();
-  stats.classify_seconds = producer_seconds_ - stats.analysis_seconds;
-  shard_.sync_counters();
+  std::vector<Alert>& alerts = analysis_.alerts();
+  for (const Alert& alert : alerts) {
+    ++alerts_emitted_;
+    if (alert_sink_) alert_sink_(alert);
+  }
+  alerts.clear();
+  worker_slot_.add_units(shard_.stats().units_analyzed - units_before);
+  shard_.charge_producer_wall(worker_slot_.busy_since(attribution_mark_));
 }
 
 void LiveSession::feed(util::ByteView frame, std::uint32_t ts_sec, std::uint32_t ts_usec) {
-  attributed([&] { shard_.process_frame(frame, ts_sec, ts_usec, unit_sink_); });
+  attributed([&] { shard_.process_frame(frame, ts_sec, ts_usec, analysis_.sink()); });
   maybe_log_metrics(ts_sec);
 }
 
 void LiveSession::finish() {
-  attributed([&] { shard_.finish_capture(unit_sink_); });
+  attributed([&] { shard_.finish_capture(analysis_.sink()); });
 }
 
 void LiveSession::maybe_log_metrics(std::uint32_t ts_sec) {

@@ -1,16 +1,22 @@
 // Streaming analysis session: the deployment-shaped interface. Feed
-// frames as they arrive; alerts come back as each unit completes. A
-// session is the 1-shard engine fed frame by frame: one PipelineShard
-// over the classifier's embedded state whose unit sink calls
-// NidsEngine::analyze_payload inline, so stage (a) and its bounded flow table are exactly what
-// process_capture runs, and a session can run on live traffic
-// indefinitely with bounded memory.
+// frames as they arrive; alerts come back from the call that completes
+// their unit. A session is the 1-shard engine fed frame by frame: one
+// PipelineShard with its own classifier state, whose units an
+// InlineAnalysis analyzes on the feeding thread, so stage (a) and its
+// bounded flow table are exactly what process_capture runs, and a
+// session can run on live traffic indefinitely with bounded memory.
+//
+// Taint is per session: a source tainted in one session is not tainted
+// in another, even over the same engine. The engine's classifier is
+// only read (its honeypot and dark-space configuration).
 //
 // Threading model (DESIGN.md "Concurrency safety"): a LiveSession is
 // lock-free by being thread-confined — all state is owned by the one
 // thread calling feed()/finish(), so there is nothing for GUARDED_BY to
-// guard. Run one session per worker thread for parallel deployments;
-// sharing one session across threads is a data race by contract.
+// guard. One session per thread over a shared engine is safe: sessions
+// share only the engine's read-only configuration and templates, the
+// internally synchronized verdict cache and the process-wide metrics.
+// Sharing one session across threads is a data race by contract.
 #pragma once
 
 #include <functional>
@@ -22,7 +28,8 @@ namespace senids::core {
 
 class LiveSession {
  public:
-  /// Called for every alert as soon as its analysis unit completes.
+  /// Called for every alert before the feed()/finish() call that
+  /// completed its analysis unit returns.
   using AlertSink = std::function<void(const Alert&)>;
 
   /// The engine must outlive the session. Flow eviction follows the
@@ -30,7 +37,7 @@ class LiveSession {
   /// tracing and metrics switches are read once, here.
   LiveSession(NidsEngine& engine, AlertSink sink);
   ~LiveSession();
-  // The shard's unit sink holds `this`.
+  // The analysis sink holds the shard.
   LiveSession(const LiveSession&) = delete;
   LiveSession& operator=(const LiveSession&) = delete;
 
@@ -49,23 +56,22 @@ class LiveSession {
 
  private:
   /// Run one feed()/finish() body with worker attribution (busy inside,
-  /// idle since the previous call) and refresh the derived stats.
+  /// idle since the previous call), deliver its alerts and refresh the
+  /// derived stats.
   template <typename Body>
   void attributed(Body&& body);
   /// Periodic one-line metrics snapshot through util::Log, driven by
   /// capture time (NidsOptions::metrics_log_interval_sec; 0 = off).
   void maybe_log_metrics(std::uint32_t ts_sec);
 
-  NidsEngine& engine_;
+  const NidsEngine& engine_;
   PipelineShard shard_;
-  /// One context for the session's lifetime: a session is one logical
-  /// worker, so it pays no per-unit extractor/analyzer allocation.
-  AnalysisContext ctx_;
+  /// One analysis context for the session's lifetime: a session is one
+  /// logical worker, so it pays no per-unit extractor/analyzer allocation.
+  InlineAnalysis analysis_;
   AlertSink alert_sink_;
-  PipelineShard::UnitSink unit_sink_;
   obs::WorkerSlot& worker_slot_;  // ("session", N)
-  std::uint64_t last_call_end_ns_ = 0;
-  double producer_seconds_ = 0.0;
+  std::uint64_t attribution_mark_ = 0;
   std::size_t alerts_emitted_ = 0;
   std::uint32_t next_metrics_log_ts_ = 0;
 };

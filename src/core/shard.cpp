@@ -1,6 +1,7 @@
 #include "core/shard.hpp"
 
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 #include "core/pipeline_obs.hpp"
@@ -26,47 +27,36 @@ std::uint64_t span_start_ending_now(double seconds) {
 }  // namespace
 
 PipelineShard::PipelineShard(std::size_t index, const NidsOptions& options,
-                             classify::TrafficClassifier& classifier, bool own_state)
+                             const classify::TrafficClassifier& classifier,
+                             bool labelled_series)
     : index_(index),
       options_(options),
       classifier_(classifier),
+      state_(classifier.make_state()),
+      flow_metrics_(flow_table_metrics()),
       defrag_(options.defrag_max_buffered_bytes) {
-  if (own_state) {
-    state_ = classifier_.make_state();
-    // Multi-shard runs get labelled shard="<i>" series; the flow gauge is
-    // per shard, the created/evicted counters stay process-wide families.
+  if (labelled_series) {
+    // The flow gauge is per shard; the created/evicted counters stay
+    // process-wide families.
     shard_ = obs::shard_metrics(index_);
-    obs::PipelineMetrics& pm = obs::pipeline_metrics();
-    flow_metrics_ = net::FlowTableMetrics{shard_.flows, pm.flows_created,
-                                          pm.flows_evicted_idle, pm.flows_evicted_overflow};
+    flow_metrics_.flows = shard_.flows;
   }
 }
 
-classify::Verdict PipelineShard::observe(const net::ParsedPacket& pkt) {
-  return state_ ? classifier_.observe_in(*state_, pkt) : classifier_.observe(pkt);
-}
-
-classify::Verdict PipelineShard::check(const net::ParsedPacket& pkt) const {
-  return state_ ? classifier_.check_in(*state_, pkt) : classifier_.check(pkt);
-}
-
-std::size_t PipelineShard::dark_evictions() const {
-  return state_ ? state_->dark_counts.evictions() : classifier_.dark_space().evictions();
-}
-
 bool PipelineShard::is_tainted(net::Ipv4Addr src) const {
-  return state_ ? state_->tainted.contains(src.value) : classifier_.is_tainted(src);
+  return state_.tainted.contains(src.value);
 }
 
 void PipelineShard::begin_capture() {
   flows_ = net::BoundedFlowTable<FlowState>{};
-  flows_.set_metrics(state_ ? &flow_metrics_ : &flow_table_metrics());
+  flows_.set_metrics(&flow_metrics_);
   defrag_ = net::Defragmenter(options_.defrag_max_buffered_bytes);
   defrag_.set_metrics(&defrag_metrics());
   obs::pipeline_metrics().flow_table_max_flows->set(
       static_cast<std::int64_t>(options_.max_flows));
   stats_ = NidsStats{};
-  dark_evictions_base_ = dark_evictions();
+  producer_seconds_ = 0.0;
+  dark_evictions_base_ = state_.dark_counts.evictions();
   tracing_ = obs::Tracer::enabled();
   clocked_ = obs::metrics_enabled() || tracing_;
 }
@@ -146,7 +136,7 @@ std::optional<net::ParsedPacket> PipelineShard::classify_one(util::ByteView fram
     ++stats_.non_ip;
     return std::nullopt;
   }
-  const classify::Verdict verdict = observe(*pkt);
+  const classify::Verdict verdict = classifier_.observe_in(state_, *pkt);
 
   if (pkt->transport == net::Transport::kFragment) {
     // Reassemble regardless of verdict: a tainted source's datagram may
@@ -156,7 +146,9 @@ std::optional<net::ParsedPacket> PipelineShard::classify_one(util::ByteView fram
     auto whole = net::parse_reassembled(datagram->header, datagram->payload, pkt->ts_sec,
                                         pkt->ts_usec);
     if (!whole) return std::nullopt;
-    if (check(*whole) != classify::Verdict::kAnalyze) return std::nullopt;
+    if (classifier_.check_in(state_, *whole) != classify::Verdict::kAnalyze) {
+      return std::nullopt;
+    }
     return whole;
   }
 
@@ -190,14 +182,24 @@ void PipelineShard::finish_capture(const UnitSink& sink) {
   // Flush flows that never closed (truncated captures), oldest first.
   flows_.drain(
       [this, &sink](const net::FlowKey&, FlowState& state) { flush_flow(state, sink); });
-  sync_counters();
 }
 
-void PipelineShard::sync_counters() {
+void PipelineShard::charge_producer_wall(double seconds) {
+  producer_seconds_ += seconds;
+  stats_.classify_seconds = producer_seconds_ - stats_.analysis_seconds;
   // The defragmenter is fresh each capture, so its drop count is this
   // capture's; dark-space evictions persist, so delta from begin_capture.
   stats_.defrag_dropped = defrag_.dropped();
-  stats_.dark_sources_evicted = dark_evictions() - dark_evictions_base_;
+  stats_.dark_sources_evicted = state_.dark_counts.evictions() - dark_evictions_base_;
 }
+
+InlineAnalysis::InlineAnalysis(const NidsEngine& engine, PipelineShard& shard)
+    : ctx_(engine.make_analysis_context()),
+      sink_([this, engine = &engine, stats = &shard.stats()](
+                util::Bytes payload, const Alert& meta, std::uint64_t unit_id) {
+        std::vector<Alert> found = engine->analyze_payload(ctx_, payload, meta, stats, unit_id);
+        alerts_.insert(alerts_.end(), std::make_move_iterator(found.begin()),
+                       std::make_move_iterator(found.end()));
+      }) {}
 
 }  // namespace senids::core

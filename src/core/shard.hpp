@@ -1,18 +1,20 @@
-// One source-affine stage-(a) pipeline shard. The engine decomposes
-// classification / defragmentation / TCP reassembly into N shards, each
-// owning the classifier scan-counting state, Defragmenter, and bounded
-// flow table for the sources routed to it. Source affinity is the
-// load-bearing design point: per-source dark-space probe counting and
-// 5-tuple flow keys (which include the source) both stay correct inside
-// a single shard, so the packet hot path needs no cross-shard
-// synchronization — shards share only read-only classifier
-// configuration, the process-wide metric registry, and the internally
-// synchronized verdict cache downstream.
+// One stage-(a) pipeline: classification, defragmentation and TCP
+// reassembly over the frames of the sources routed to it. It owns its
+// classifier state (taint set and dark-space counters), Defragmenter and
+// bounded flow table. The engine decomposes stage (a) into N
+// source-affine shards; every LiveSession is one shard. Source affinity
+// is the load-bearing design point: per-source dark-space probe counting
+// and 5-tuple flow keys (which include the source) both stay correct
+// inside a single shard, so the packet hot path needs no cross-shard
+// synchronization. Shards share only read-only classifier configuration,
+// the process-wide metric registry, and the internally synchronized
+// verdict cache downstream.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "net/defrag.hpp"
@@ -33,37 +35,39 @@ namespace senids::core {
 class PipelineShard {
  public:
   /// Receives each analysis unit the shard forms (suspicious payload or
-  /// flushed stream). The engine points this at the worker handoff queue
-  /// or, with threads <= 1, at an inline NidsEngine::analyze_payload call
-  /// that counts into this shard's stats(); LiveSession always inline.
+  /// flushed stream): the engine's worker handoff queue, or an
+  /// InlineAnalysis (threads <= 1, and every LiveSession).
   using UnitSink =
       std::function<void(util::Bytes payload, const Alert& meta, std::uint64_t unit_id)>;
 
-  /// `options` and `classifier` must outlive the shard. With `own_state`
-  /// the shard classifies against a private ClassifierState (the
-  /// multi-shard engine); without it, verdicts go through the
-  /// classifier's embedded state so single-shard runs keep the classic
-  /// `classifier().is_tainted()` surface observable.
+  /// `options` and `classifier` must outlive the shard. `labelled_series`
+  /// binds this shard's shard="<index>" metric series and a per-shard
+  /// flow gauge (the multi-shard engine); without it the shard feeds only
+  /// the process-wide families.
   PipelineShard(std::size_t index, const NidsOptions& options,
-                classify::TrafficClassifier& classifier, bool own_state);
+                const classify::TrafficClassifier& classifier, bool labelled_series);
 
   /// Reset per-capture state (flow table, defragmenter, stats) and read
   /// the tracing/metrics switches for the capture. Taint and dark-space
-  /// counts persist across captures, mirroring the classifier.
+  /// counts persist across captures.
   void begin_capture();
   /// Classify one captured Ethernet frame and dispatch any unit it
   /// completes.
   void process_frame(util::ByteView frame, std::uint32_t ts_sec, std::uint32_t ts_usec,
                      const UnitSink& sink);
-  /// Flush flows that never closed and finalize per-capture counters.
+  /// Flush flows that never closed.
   void finish_capture(const UnitSink& sink);
-  /// Set the counters read off the defragmenter and classifier (defrag
-  /// drops, dark-space evictions since begin_capture). Idempotent, so a
-  /// live caller may refresh them after every frame.
-  void sync_counters();
+  /// Charge `seconds` of producer wall, measured by the caller around
+  /// whole batches of process_frame/finish_capture calls, and refresh the
+  /// derived stats. The one definition of stage-(a) time:
+  /// classify_seconds = producer wall since begin_capture minus the
+  /// analysis run inline on it. Also sets the counters read off the
+  /// defragmenter and classifier state (defrag drops, dark-space
+  /// evictions since begin_capture).
+  void charge_producer_wall(double seconds);
 
   /// Per-capture stats for this shard; the engine folds them with
-  /// merge_stats. The shard's producer also writes classify_seconds here.
+  /// merge_stats.
   [[nodiscard]] NidsStats& stats() noexcept { return stats_; }
   [[nodiscard]] const NidsStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t live_flows() const noexcept { return flows_.size(); }
@@ -78,10 +82,6 @@ class PipelineShard {
     explicit FlowState(std::size_t cap) : reassembler(cap, cap) {}
   };
 
-  classify::Verdict observe(const net::ParsedPacket& pkt);
-  [[nodiscard]] classify::Verdict check(const net::ParsedPacket& pkt) const;
-  [[nodiscard]] std::size_t dark_evictions() const;
-
   std::optional<net::ParsedPacket> classify_one(util::ByteView frame,
                                                 std::uint32_t ts_sec, std::uint32_t ts_usec);
   void dispatch(net::ParsedPacket& pkt, const UnitSink& sink);
@@ -90,17 +90,39 @@ class PipelineShard {
 
   std::size_t index_;
   const NidsOptions& options_;
-  classify::TrafficClassifier& classifier_;
-  std::optional<classify::ClassifierState> state_;  // engaged iff own_state
+  const classify::TrafficClassifier& classifier_;
+  classify::ClassifierState state_;
 
-  net::FlowTableMetrics flow_metrics_{};  // per-shard binding (own_state only)
-  obs::ShardMetrics shard_{};             // null handles when single-shard
+  net::FlowTableMetrics flow_metrics_{};
+  obs::ShardMetrics shard_{};  // null handles without labelled_series
   net::BoundedFlowTable<FlowState> flows_;
   net::Defragmenter defrag_;
   NidsStats stats_;
+  double producer_seconds_ = 0.0;
   std::size_t dark_evictions_base_ = 0;
   bool tracing_ = false;
   bool clocked_ = false;
+};
+
+/// The unit sink for threads <= 1, shared by the engine's shards and
+/// LiveSession: stages (b)-(e) run inline on the thread that formed the
+/// unit, with a private AnalysisContext, and count into the shard's
+/// stats(). Alerts collect in alerts() until the owner takes them.
+class InlineAnalysis {
+ public:
+  /// `engine` and `shard` must outlive this object.
+  InlineAnalysis(const NidsEngine& engine, PipelineShard& shard);
+  // sink() holds `this`.
+  InlineAnalysis(const InlineAnalysis&) = delete;
+  InlineAnalysis& operator=(const InlineAnalysis&) = delete;
+
+  [[nodiscard]] const PipelineShard::UnitSink& sink() const noexcept { return sink_; }
+  [[nodiscard]] std::vector<Alert>& alerts() noexcept { return alerts_; }
+
+ private:
+  AnalysisContext ctx_;
+  std::vector<Alert> alerts_;
+  PipelineShard::UnitSink sink_;
 };
 
 }  // namespace senids::core

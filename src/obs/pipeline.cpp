@@ -27,6 +27,22 @@ PipelineMetrics register_all() {
       &r.counter("senids_bytes_analyzed_total", "Frame bytes reaching the disassembler");
   m.alerts = &r.counter("senids_alerts_total", "Alerts raised by all stages");
 
+  m.analyzer_frames =
+      &r.counter("senids_analyzer_frames_total", "Frames run through the semantic analyzer");
+  m.analyzer_runs = &r.counter("senids_analyzer_runs_total", "Candidate decode runs found");
+  m.analyzer_traces =
+      &r.counter("senids_analyzer_traces_total", "Execution traces lifted to IR");
+  m.analyzer_insns_lifted =
+      &r.counter("senids_analyzer_insns_lifted_total", "Instructions lifted to IR");
+  m.analyzer_matches_tried =
+      &r.counter("senids_analyzer_matches_tried_total", "Template match attempts");
+  m.analyzer_entry_budget_exhausted =
+      &r.counter("senids_analyzer_entry_budget_exhausted_total",
+                 "Frames that filled the candidate-entry budget");
+  m.analyzer_insn_budget_exhausted =
+      &r.counter("senids_analyzer_insn_budget_exhausted_total",
+                 "Frames that burned the per-frame instruction budget");
+
   m.queue_depth = &r.gauge("senids_queue_depth", "Analysis units waiting in the handoff queue");
   m.queue_depth_peak = &r.gauge("senids_unit_queue_depth_peak",
                                 "High watermark of the handoff queue depth");

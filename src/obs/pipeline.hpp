@@ -52,6 +52,15 @@ struct PipelineMetrics {
   Counter* bytes_analyzed;
   Counter* alerts;
 
+  // Semantic analyzer work (semantic::AnalyzerStats), per analyzed frame.
+  Counter* analyzer_frames;
+  Counter* analyzer_runs;
+  Counter* analyzer_traces;
+  Counter* analyzer_insns_lifted;
+  Counter* analyzer_matches_tried;
+  Counter* analyzer_entry_budget_exhausted;
+  Counter* analyzer_insn_budget_exhausted;
+
   // Handoff queue between stage (a) and the worker pool.
   Gauge* queue_depth;
   Gauge* queue_depth_peak;  // high watermark over the process lifetime

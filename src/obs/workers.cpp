@@ -15,21 +15,37 @@ using SteadyClock = std::chrono::steady_clock;
 
 }  // namespace
 
-void WorkerSlot::begin_run() noexcept {
-#if !defined(SENIDS_NO_OBS)
+std::uint64_t WorkerSlot::begin_run() noexcept {
   const std::uint64_t now = WorkerTable::instance().now_ns();
+#if !defined(SENIDS_NO_OBS)
   active_.fetch_add(1, std::memory_order_relaxed);
   run_start_ns_.store(now, std::memory_order_relaxed);
   run_end_ns_.store(0, std::memory_order_relaxed);
   heartbeat_ns_.store(now, std::memory_order_relaxed);
 #endif
+  return now;
 }
 
-void WorkerSlot::end_run() noexcept {
+void WorkerSlot::end_run(std::uint64_t at) noexcept {
 #if !defined(SENIDS_NO_OBS)
-  run_end_ns_.store(WorkerTable::instance().now_ns(), std::memory_order_relaxed);
+  run_end_ns_.store(at, std::memory_order_relaxed);
   active_.fetch_sub(1, std::memory_order_relaxed);
+#else
+  (void)at;
 #endif
+}
+
+double WorkerSlot::attribute(std::atomic<std::uint64_t>& field,
+                             std::uint64_t& mark) noexcept {
+  const std::uint64_t now = WorkerTable::instance().now_ns();
+  const std::uint64_t ns = now > mark ? now - mark : 0;
+  mark = now;
+#if !defined(SENIDS_NO_OBS)
+  if (metrics_enabled() && ns) field.fetch_add(ns, std::memory_order_relaxed);
+#else
+  (void)field;
+#endif
+  return static_cast<double>(ns) * 1e-9;
 }
 
 void WorkerSlot::heartbeat() noexcept {

@@ -30,12 +30,21 @@ namespace senids::obs {
 class WorkerSlot {
  public:
   /// Mark the owning loop running: bumps the active count and stamps the
-  /// run start + a heartbeat. Balanced by end_run().
-  void begin_run() noexcept;
-  void end_run() noexcept;
+  /// run start + a heartbeat. Returns the start timestamp (WorkerTable::
+  /// now_ns), the first mark for busy_since/idle_since. Balanced by
+  /// end_run().
+  std::uint64_t begin_run() noexcept;
+  /// End the run at `at`, normally the last mark, so that busy + idle
+  /// tile the run exactly.
+  void end_run(std::uint64_t at) noexcept;
 
-  void add_busy(double seconds) noexcept { add_ns(busy_ns_, seconds); }
-  void add_idle(double seconds) noexcept { add_ns(idle_ns_, seconds); }
+  /// Attribute the wall from `mark` to now to busy (idle), advance `mark`
+  /// to now and return the seconds attributed. One timestamp per
+  /// transition: a loop that marks every change of state tiles its run
+  /// with busy and idle, leaving no unattributed gaps. The seconds are
+  /// returned even while metrics are off.
+  double busy_since(std::uint64_t& mark) noexcept { return attribute(busy_ns_, mark); }
+  double idle_since(std::uint64_t& mark) noexcept { return attribute(idle_ns_, mark); }
   void add_units(std::uint64_t n = 1) noexcept {
 #if !defined(SENIDS_NO_OBS)
     if (metrics_enabled()) units_.fetch_add(n, std::memory_order_relaxed);
@@ -65,16 +74,7 @@ class WorkerSlot {
   friend class WorkerTable;
   WorkerSlot() = default;
 
-  void add_ns(std::atomic<std::uint64_t>& field, double seconds) noexcept {
-#if !defined(SENIDS_NO_OBS)
-    if (!metrics_enabled() || seconds <= 0) return;
-    field.fetch_add(static_cast<std::uint64_t>(seconds * 1e9),
-                    std::memory_order_relaxed);
-#else
-    (void)field;
-    (void)seconds;
-#endif
-  }
+  double attribute(std::atomic<std::uint64_t>& field, std::uint64_t& mark) noexcept;
 
   std::string kind_;
   std::size_t index_ = 0;

@@ -12,34 +12,6 @@ namespace senids::semantic {
 
 namespace {
 
-/// Process-wide analyzer counters, registered once. Sharded increments:
-/// every worker thread funnels through here.
-struct AnalyzerMetrics {
-  obs::Counter& frames;
-  obs::Counter& runs;
-  obs::Counter& traces;
-  obs::Counter& insns_lifted;
-  obs::Counter& matches_tried;
-  obs::Counter& entry_budget_exhausted;
-  obs::Counter& insn_budget_exhausted;
-};
-
-AnalyzerMetrics& analyzer_metrics() {
-  auto& r = obs::Registry::instance();
-  static AnalyzerMetrics m{
-      r.counter("senids_analyzer_frames_total", "Frames run through the semantic analyzer"),
-      r.counter("senids_analyzer_runs_total", "Candidate decode runs found"),
-      r.counter("senids_analyzer_traces_total", "Execution traces lifted to IR"),
-      r.counter("senids_analyzer_insns_lifted_total", "Instructions lifted to IR"),
-      r.counter("senids_analyzer_matches_tried_total", "Template match attempts"),
-      r.counter("senids_analyzer_entry_budget_exhausted_total",
-                "Frames that filled the candidate-entry budget"),
-      r.counter("senids_analyzer_insn_budget_exhausted_total",
-                "Frames that burned the per-frame instruction budget"),
-  };
-  return m;
-}
-
 /// Accumulating stopwatch that reads the clock only while metrics are on.
 class StageClock {
  public:
@@ -206,15 +178,6 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
     clock.stop(match_seconds);
   }
 
-  // Fold this frame's counts into the process-wide counters once.
-  AnalyzerMetrics& metrics = analyzer_metrics();
-  metrics.frames.add();
-  metrics.runs.add(runs.size());
-  metrics.traces.add(traces);
-  metrics.insns_lifted.add(insns_lifted);
-  metrics.matches_tried.add(matches_tried);
-  if (entry_budget_hit) metrics.entry_budget_exhausted.add();
-  if (insn_budget_hit) metrics.insn_budget_exhausted.add();
   if (stats) {
     ++stats->frames;
     stats->candidate_runs += runs.size();

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <utility>
-
 #include "classify/classifier.hpp"
 #include "net/forge.hpp"
 
@@ -41,14 +39,15 @@ TEST(Prefix, HostRouteAndDefault) {
 TEST(Honeypot, TouchingDecoyTaintsSource) {
   TrafficClassifier c;
   c.honeypots().add_decoy(kHoneypot);
+  ClassifierState st = c.make_state();
   // First packet to the honeypot is itself analyzed (source now tainted).
-  EXPECT_EQ(c.observe(packet(kAttacker, kHoneypot)), Verdict::kAnalyze);
+  EXPECT_EQ(c.observe_in(st, packet(kAttacker, kHoneypot)), Verdict::kAnalyze);
   // Subsequent traffic from the same host anywhere is analyzed.
-  EXPECT_EQ(c.observe(packet(kAttacker, kServer)), Verdict::kAnalyze);
+  EXPECT_EQ(c.observe_in(st, packet(kAttacker, kServer)), Verdict::kAnalyze);
   // Unrelated hosts stay clean.
-  EXPECT_EQ(c.observe(packet(kClient, kServer)), Verdict::kIgnore);
-  EXPECT_TRUE(c.is_tainted(kAttacker));
-  EXPECT_FALSE(c.is_tainted(kClient));
+  EXPECT_EQ(c.observe_in(st, packet(kClient, kServer)), Verdict::kIgnore);
+  EXPECT_TRUE(st.tainted.contains(kAttacker.value));
+  EXPECT_FALSE(st.tainted.contains(kClient.value));
 }
 
 TEST(Honeypot, DisabledSchemeIgnoresDecoys) {
@@ -56,7 +55,8 @@ TEST(Honeypot, DisabledSchemeIgnoresDecoys) {
   opts.use_honeypot = false;
   TrafficClassifier c(opts);
   c.honeypots().add_decoy(kHoneypot);
-  EXPECT_EQ(c.observe(packet(kAttacker, kHoneypot)), Verdict::kIgnore);
+  ClassifierState st = c.make_state();
+  EXPECT_EQ(c.observe_in(st, packet(kAttacker, kHoneypot)), Verdict::kIgnore);
 }
 
 TEST(DarkSpace, ThresholdCrossingTaints) {
@@ -64,19 +64,20 @@ TEST(DarkSpace, ThresholdCrossingTaints) {
   opts.dark_space_threshold = 3;
   TrafficClassifier c(opts);
   c.dark_space().add_unused_prefix(Prefix{Ipv4Addr::from_octets(10, 0, 200, 0), 24});
+  ClassifierState st = c.make_state();
 
   // Two probes: below threshold, still ignored.
-  EXPECT_EQ(c.observe(packet(kAttacker, Ipv4Addr::from_octets(10, 0, 200, 1))),
+  EXPECT_EQ(c.observe_in(st, packet(kAttacker, Ipv4Addr::from_octets(10, 0, 200, 1))),
             Verdict::kIgnore);
-  EXPECT_EQ(c.observe(packet(kAttacker, Ipv4Addr::from_octets(10, 0, 200, 2))),
+  EXPECT_EQ(c.observe_in(st, packet(kAttacker, Ipv4Addr::from_octets(10, 0, 200, 2))),
             Verdict::kIgnore);
-  EXPECT_FALSE(c.is_tainted(kAttacker));
+  EXPECT_FALSE(st.tainted.contains(kAttacker.value));
   // Third probe reaches t=3: tainted from here on.
-  EXPECT_EQ(c.observe(packet(kAttacker, Ipv4Addr::from_octets(10, 0, 200, 3))),
+  EXPECT_EQ(c.observe_in(st, packet(kAttacker, Ipv4Addr::from_octets(10, 0, 200, 3))),
             Verdict::kAnalyze);
-  EXPECT_TRUE(c.is_tainted(kAttacker));
+  EXPECT_TRUE(st.tainted.contains(kAttacker.value));
   // And now even traffic to production hosts is analyzed.
-  EXPECT_EQ(c.observe(packet(kAttacker, kServer)), Verdict::kAnalyze);
+  EXPECT_EQ(c.observe_in(st, packet(kAttacker, kServer)), Verdict::kAnalyze);
 }
 
 TEST(DarkSpace, CountsPerSource) {
@@ -84,22 +85,24 @@ TEST(DarkSpace, CountsPerSource) {
   opts.dark_space_threshold = 5;
   TrafficClassifier c(opts);
   c.dark_space().add_unused_prefix(Prefix{Ipv4Addr::from_octets(10, 0, 200, 0), 24});
+  ClassifierState st = c.make_state();
   for (int i = 0; i < 4; ++i) {
-    c.observe(packet(kAttacker, Ipv4Addr::from_octets(10, 0, 200, 1)));
-    c.observe(packet(kClient, kServer));
+    c.observe_in(st, packet(kAttacker, Ipv4Addr::from_octets(10, 0, 200, 1)));
+    c.observe_in(st, packet(kClient, kServer));
   }
-  EXPECT_EQ(c.dark_space().count(kAttacker), 4u);
-  EXPECT_EQ(c.dark_space().count(kClient), 0u);
-  EXPECT_FALSE(c.is_tainted(kAttacker));
+  EXPECT_EQ(st.dark_counts.count(kAttacker.value), 4u);
+  EXPECT_EQ(st.dark_counts.count(kClient.value), 0u);
+  EXPECT_FALSE(st.tainted.contains(kAttacker.value));
 }
 
 TEST(DarkSpace, TrafficToUsedSpaceNeverCounts) {
   TrafficClassifier c;
   c.dark_space().add_unused_prefix(Prefix{Ipv4Addr::from_octets(10, 0, 200, 0), 24});
+  ClassifierState st = c.make_state();
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(c.observe(packet(kAttacker, kServer)), Verdict::kIgnore);
+    EXPECT_EQ(c.observe_in(st, packet(kAttacker, kServer)), Verdict::kIgnore);
   }
-  EXPECT_EQ(c.dark_space().count(kAttacker), 0u);
+  EXPECT_EQ(st.dark_counts.count(kAttacker.value), 0u);
 }
 
 TEST(DarkSpace, CounterTableCapEvictsLeastRecentlyProbed) {
@@ -135,53 +138,68 @@ TEST(DarkSpace, SourceCapDelaysTaintUnderSpoofedFlood) {
   opts.dark_space_max_sources = 4;
   TrafficClassifier c(opts);
   c.dark_space().add_unused_prefix(Prefix{Ipv4Addr::from_octets(10, 0, 200, 0), 24});
+  ClassifierState st = c.make_state();
   for (int round = 0; round < 2; ++round) {
     for (std::uint8_t s = 1; s <= 16; ++s) {
-      c.observe(packet(Ipv4Addr::from_octets(203, 0, 113, s),
-                       Ipv4Addr::from_octets(10, 0, 200, 1)));
+      c.observe_in(st, packet(Ipv4Addr::from_octets(203, 0, 113, s),
+                              Ipv4Addr::from_octets(10, 0, 200, 1)));
     }
   }
-  EXPECT_EQ(c.tainted_count(), 0u);
-  EXPECT_GT(c.dark_space().evictions(), 0u);
-  EXPECT_LE(c.dark_space().counters().size(), 4u);
+  EXPECT_EQ(st.tainted.size(), 0u);
+  EXPECT_GT(st.dark_counts.evictions(), 0u);
+  EXPECT_LE(st.dark_counts.size(), 4u);
 }
 
-TEST(Classifier, ExternalStateMatchesEmbeddedState) {
-  // The shard-external API (make_state + observe_in) must produce the
-  // exact verdict sequence of the embedded single-state API over the
-  // same packet stream.
+/// One classifier configured with both schemes (threshold 3).
+TrafficClassifier both_schemes() {
   ClassifierOptions opts;
   opts.dark_space_threshold = 3;
-  TrafficClassifier embedded(opts);
-  TrafficClassifier external(opts);
-  for (TrafficClassifier* c : {&embedded, &external}) {
-    c->honeypots().add_decoy(kHoneypot);
-    c->dark_space().add_unused_prefix(
-        Prefix{Ipv4Addr::from_octets(10, 0, 200, 0), 24});
-  }
-  ClassifierState state = external.make_state();
+  TrafficClassifier c(opts);
+  c.honeypots().add_decoy(kHoneypot);
+  c.dark_space().add_unused_prefix(Prefix{Ipv4Addr::from_octets(10, 0, 200, 0), 24});
+  return c;
+}
 
-  const std::pair<Ipv4Addr, Ipv4Addr> stream[] = {
-      {kAttacker, Ipv4Addr::from_octets(10, 0, 200, 1)},
-      {kClient, kServer},
-      {kAttacker, Ipv4Addr::from_octets(10, 0, 200, 2)},
-      {kAttacker, Ipv4Addr::from_octets(10, 0, 200, 3)},
-      {kAttacker, kServer},
-      {kClient, kHoneypot},
-      {kClient, kServer},
+TEST(Classifier, ObserveAndCheckVerdictSequence) {
+  // observe_in and check_in over one mixed stream: every verdict of each,
+  // packet by packet. check_in reads the taint observe_in just updated.
+  const TrafficClassifier c = both_schemes();
+  ClassifierState state = c.make_state();
+  struct Step {
+    Ipv4Addr src, dst;
+    Verdict expected;
   };
-  for (const auto& [src, dst] : stream) {
-    auto frame = net::forge_tcp(Endpoint{src, 40000}, Endpoint{dst, 80}, 1,
-                                util::as_bytes("x"));
-    const net::ParsedPacket pkt = *net::parse_frame(frame);
-    EXPECT_EQ(embedded.observe(pkt), external.observe_in(state, pkt));
-    EXPECT_EQ(embedded.check(pkt), external.check_in(state, pkt));
+  const Step stream[] = {
+      {kAttacker, Ipv4Addr::from_octets(10, 0, 200, 1), Verdict::kIgnore},
+      {kClient, kServer, Verdict::kIgnore},
+      {kAttacker, Ipv4Addr::from_octets(10, 0, 200, 2), Verdict::kIgnore},
+      {kAttacker, Ipv4Addr::from_octets(10, 0, 200, 3), Verdict::kAnalyze},  // n == t
+      {kAttacker, kServer, Verdict::kAnalyze},
+      {kClient, kHoneypot, Verdict::kAnalyze},
+      {kClient, kServer, Verdict::kAnalyze},
+  };
+  for (const Step& step : stream) {
+    const net::ParsedPacket pkt = packet(step.src, step.dst);
+    EXPECT_EQ(c.observe_in(state, pkt), step.expected);
+    EXPECT_EQ(c.check_in(state, pkt), step.expected);
   }
   EXPECT_TRUE(state.tainted.contains(kAttacker.value));
   EXPECT_TRUE(state.tainted.contains(kClient.value));
-  // External state never leaks into the classifier's embedded state.
-  EXPECT_EQ(external.tainted_count(), 0u);
-  EXPECT_EQ(external.dark_space().count(kAttacker), 0u);
+}
+
+TEST(Classifier, StatesDoNotShareTaint) {
+  // Two pipelines over one classifier: taint and probe counts in one
+  // state never leak into the other.
+  const TrafficClassifier c = both_schemes();
+  ClassifierState a = c.make_state();
+  ClassifierState b = c.make_state();
+  EXPECT_EQ(c.observe_in(a, packet(kAttacker, kHoneypot)), Verdict::kAnalyze);
+  c.observe_in(a, packet(kClient, Ipv4Addr::from_octets(10, 0, 200, 1)));
+  EXPECT_EQ(c.check_in(b, packet(kAttacker, kServer)), Verdict::kIgnore);
+  EXPECT_EQ(c.observe_in(b, packet(kAttacker, kServer)), Verdict::kIgnore);
+  EXPECT_TRUE(b.tainted.empty());
+  EXPECT_EQ(b.dark_counts.count(kClient.value), 0u);
+  EXPECT_EQ(a.dark_counts.count(kClient.value), 1u);
 }
 
 TEST(Classifier, MakeStateInheritsCounterCap) {
@@ -198,9 +216,11 @@ TEST(Classifier, AnalyzeEverythingMode) {
   ClassifierOptions opts;
   opts.analyze_everything = true;
   TrafficClassifier c(opts);
-  EXPECT_EQ(c.observe(packet(kClient, kServer)), Verdict::kAnalyze);
+  ClassifierState st = c.make_state();
+  EXPECT_EQ(c.observe_in(st, packet(kClient, kServer)), Verdict::kAnalyze);
+  EXPECT_EQ(c.check_in(st, packet(kClient, kServer)), Verdict::kAnalyze);
   // Without taint bookkeeping: everything is analyzed, nothing tainted.
-  EXPECT_EQ(c.tainted_count(), 0u);
+  EXPECT_EQ(st.tainted.size(), 0u);
 }
 
 TEST(Classifier, BothSchemesCompose) {
@@ -209,14 +229,15 @@ TEST(Classifier, BothSchemesCompose) {
   TrafficClassifier c(opts);
   c.honeypots().add_decoy(kHoneypot);
   c.dark_space().add_unused_prefix(Prefix{Ipv4Addr::from_octets(10, 0, 200, 0), 24});
+  ClassifierState st = c.make_state();
 
   const Ipv4Addr scanner = Ipv4Addr::from_octets(203, 0, 113, 5);
-  c.observe(packet(scanner, Ipv4Addr::from_octets(10, 0, 200, 9)));
-  c.observe(packet(scanner, Ipv4Addr::from_octets(10, 0, 200, 10)));
-  c.observe(packet(kAttacker, kHoneypot));
-  EXPECT_TRUE(c.is_tainted(scanner));
-  EXPECT_TRUE(c.is_tainted(kAttacker));
-  EXPECT_EQ(c.tainted_count(), 2u);
+  c.observe_in(st, packet(scanner, Ipv4Addr::from_octets(10, 0, 200, 9)));
+  c.observe_in(st, packet(scanner, Ipv4Addr::from_octets(10, 0, 200, 10)));
+  c.observe_in(st, packet(kAttacker, kHoneypot));
+  EXPECT_TRUE(st.tainted.contains(scanner.value));
+  EXPECT_TRUE(st.tainted.contains(kAttacker.value));
+  EXPECT_EQ(st.tainted.size(), 2u);
 }
 
 TEST(Classifier, HoneypotHitAlsoCountsAsDarkIfConfigured) {
@@ -227,8 +248,10 @@ TEST(Classifier, HoneypotHitAlsoCountsAsDarkIfConfigured) {
   TrafficClassifier c(opts);
   c.honeypots().add_decoy(Ipv4Addr::from_octets(10, 0, 200, 7));
   c.dark_space().add_unused_prefix(Prefix{Ipv4Addr::from_octets(10, 0, 200, 0), 24});
-  EXPECT_EQ(c.observe(packet(kAttacker, Ipv4Addr::from_octets(10, 0, 200, 7))),
+  ClassifierState st = c.make_state();
+  EXPECT_EQ(c.observe_in(st, packet(kAttacker, Ipv4Addr::from_octets(10, 0, 200, 7))),
             Verdict::kAnalyze);
+  EXPECT_EQ(st.dark_counts.count(kAttacker.value), 1u);
 }
 
 }  // namespace

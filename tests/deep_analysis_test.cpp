@@ -3,6 +3,8 @@
 // run in the sandbox.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/senids.hpp"
 #include "gen/poly.hpp"
 #include "gen/shellcode.hpp"
@@ -205,10 +207,10 @@ TEST(DeepAnalysis, ConfirmationDropsNonExecutingShape) {
   a.inc_r32(gen::R32::esi);
   a.loop_(head);
   util::Bytes code = a.finish();
-  // Pad so the extractor sees a binary region.
+  // Pad so the extractor sees a binary region: 32 NOPs, the code, 32 INT3s.
   util::Bytes payload(32, 0x90);
-  payload.insert(payload.end(), code.begin(), code.end());
-  payload.insert(payload.end(), 32, 0xCC);
+  payload.resize(32 + code.size() + 32, 0xCC);
+  std::copy(code.begin(), code.end(), payload.begin() + 32);
 
   NidsOptions plain;
   plain.classifier.analyze_everything = true;

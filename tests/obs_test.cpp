@@ -428,6 +428,15 @@ TEST(ObsEngine, RegistryMirrorsReport) {
     EXPECT_EQ(pm.cache_misses->value(), stats.cache_misses);
     EXPECT_EQ(pm.cache_bypass->value(), stats.cache_bypass);
     EXPECT_EQ(pm.cache_bytes_saved->value(), stats.cache_bytes_saved);
+    const semantic::AnalyzerStats& an = stats.analyzer;
+    EXPECT_GT(an.frames, 0u);
+    EXPECT_EQ(pm.analyzer_frames->value(), an.frames);
+    EXPECT_EQ(pm.analyzer_runs->value(), an.candidate_runs);
+    EXPECT_EQ(pm.analyzer_traces->value(), an.traces);
+    EXPECT_EQ(pm.analyzer_insns_lifted->value(), an.instructions_lifted);
+    EXPECT_EQ(pm.analyzer_matches_tried->value(), an.template_matches_tried);
+    EXPECT_EQ(pm.analyzer_entry_budget_exhausted->value(), an.entry_budget_exhausted);
+    EXPECT_EQ(pm.analyzer_insn_budget_exhausted->value(), an.insn_budget_exhausted);
     for (std::size_t i = 0; i < kStageCount; ++i) {
       EXPECT_EQ(pm.stage_seconds[i]->count(), stats.stages[i].count)
           << stage_name(static_cast<Stage>(i));

@@ -9,7 +9,7 @@
 //  - A frame is emulated at most once per unit even when the
 //    decoder-confirmation pass and the deep-analysis pass both want it
 //    (the per-frame memo in AnalysisContext).
-//  - Worker count, dequeue batch size, and the threads == 0 shard-local
+//  - Worker count, dequeue batch size, and the threads <= 1 shard-local
 //    mode are invisible in the report: every combination reproduces the
 //    serial baseline byte-for-byte.
 //  - An AnalysisContext reused across units carries no state between
@@ -212,9 +212,10 @@ TEST(WorkerScaling, ThreadsAndBatchSizeDoNotChangeTheReport) {
 }
 
 TEST(WorkerScaling, ThreadsZeroRunsShardLocal) {
-  // threads == 0, shards == N: stages (b)-(e) run inline on each shard's
-  // consumer thread with a per-shard context and no global unit queue.
-  // The report must still reproduce the serial single-shard baseline.
+  // threads <= 1 is one mode at every shard count: stages (b)-(e) run
+  // inline on the shard thread that formed each unit, with a per-shard
+  // context and no global unit queue. threads 0 and 1, at one shard and
+  // at N, must all reproduce the serial single-shard baseline.
   const pcap::Capture capture = mixed_corpus(306);
 
   NidsOptions base;
@@ -225,17 +226,19 @@ TEST(WorkerScaling, ThreadsZeroRunsShardLocal) {
   const Report r_base = baseline.process_capture(capture);
   ASSERT_FALSE(r_base.alerts.empty());
 
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
-    NidsOptions options = base;
-    options.threads = 0;
-    options.shards = shards;
-    NidsEngine engine(options);
-    const Report r = engine.process_capture(capture);
-    expect_alerts_equal(r_base.alerts, r.alerts);
-    EXPECT_EQ(r_base.stats.units_analyzed, r.stats.units_analyzed);
-    EXPECT_EQ(r_base.stats.frames_extracted, r.stats.frames_extracted);
-    EXPECT_EQ(r_base.stats.bytes_analyzed, r.stats.bytes_analyzed);
+  for (std::size_t threads : {std::size_t{0}, std::size_t{1}}) {
+    for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads << " shards=" << shards);
+      NidsOptions options = base;
+      options.threads = threads;
+      options.shards = shards;
+      NidsEngine engine(options);
+      const Report r = engine.process_capture(capture);
+      expect_alerts_equal(r_base.alerts, r.alerts);
+      EXPECT_EQ(r_base.stats.units_analyzed, r.stats.units_analyzed);
+      EXPECT_EQ(r_base.stats.frames_extracted, r.stats.frames_extracted);
+      EXPECT_EQ(r_base.stats.bytes_analyzed, r.stats.bytes_analyzed);
+    }
   }
 }
 

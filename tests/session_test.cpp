@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/senids.hpp"
@@ -26,13 +27,13 @@ using net::Ipv4Addr;
 const Ipv4Addr kHoneypot = Ipv4Addr::from_octets(10, 0, 0, 7);
 const Endpoint kAttacker{Ipv4Addr::from_octets(192, 0, 2, 66), 31337};
 
-pcap::Capture attack_capture(std::uint64_t seed) {
+pcap::Capture attack_capture(std::uint64_t seed, Endpoint attacker = kAttacker) {
   gen::TraceBuilder tb(seed);
   auto corpus = gen::make_shell_spawn_corpus();
-  tb.add_tcp_flow(kAttacker, Endpoint{kHoneypot, 80},
+  tb.add_tcp_flow(attacker, Endpoint{kHoneypot, 80},
                   gen::wrap_in_overflow(corpus[0].code, tb.prng()));
   auto poly = gen::admmutate_encode(corpus[1].code, tb.prng());
-  tb.add_tcp_flow(kAttacker, Endpoint{kHoneypot, 80},
+  tb.add_tcp_flow(attacker, Endpoint{kHoneypot, 80},
                   gen::wrap_in_overflow(poly.bytes, tb.prng()));
   for (int i = 0; i < 10; ++i) {
     const Endpoint client{Ipv4Addr::from_octets(198, 51, 100, 9), 40000};
@@ -141,6 +142,76 @@ TEST(LiveSession, AttributionCountsUnitsAnalyzedAtFinish) {
     if (slot.kind == "session") session_units += slot.units;
   }
   EXPECT_EQ(session_units, session.stats().units_analyzed);
+}
+
+/// Every alert a session over `engine` raises on `capture`, rendered.
+std::vector<std::string> session_alerts(NidsEngine& engine, const pcap::Capture& capture) {
+  std::vector<std::string> alerts;
+  LiveSession session(engine, [&alerts](const Alert& a) { alerts.push_back(a.str()); });
+  for (const auto& rec : capture.records) session.feed(rec.data, rec.ts_sec, rec.ts_usec);
+  session.finish();
+  return alerts;
+}
+
+NidsOptions shared_engine_options() {
+  NidsOptions options;
+  options.verdict_cache_bytes = 1 << 20;  // shared by both sessions
+  return options;
+}
+
+TEST(LiveSession, TwoSessionsOnOneEngineConcurrently) {
+  // One session per thread over one engine: each session classifies
+  // against its own taint state, so each sees exactly what it would see
+  // alone (and, under ThreadSanitizer, the two share no unsynchronized
+  // state).
+  const pcap::Capture captures[] = {
+      attack_capture(97, Endpoint{Ipv4Addr::from_octets(192, 0, 2, 66), 31337}),
+      attack_capture(98, Endpoint{Ipv4Addr::from_octets(192, 0, 2, 99), 31338}),
+  };
+  std::vector<std::string> solo[2];
+  for (int i = 0; i < 2; ++i) {
+    NidsEngine engine(shared_engine_options());
+    engine.classifier().honeypots().add_decoy(kHoneypot);
+    solo[i] = session_alerts(engine, captures[i]);
+    ASSERT_FALSE(solo[i].empty());
+  }
+
+  NidsEngine shared(shared_engine_options());
+  shared.classifier().honeypots().add_decoy(kHoneypot);
+  std::vector<std::string> concurrent[2];
+  {
+    std::thread first([&] { concurrent[0] = session_alerts(shared, captures[0]); });
+    std::thread second([&] { concurrent[1] = session_alerts(shared, captures[1]); });
+    first.join();
+    second.join();
+  }
+  EXPECT_EQ(concurrent[0], solo[0]);
+  EXPECT_EQ(concurrent[1], solo[1]);
+}
+
+TEST(LiveSession, TwoSessionsOnOneEngineDoNotShareTaint) {
+  // Session A sees the attacker touch the honeypot; session B, later on
+  // the same engine, sees only the attacker's traffic to a production
+  // server. Taint is per session, so B classifies none of it.
+  NidsEngine engine(NidsOptions{});
+  engine.classifier().honeypots().add_decoy(kHoneypot);
+  LiveSession a(engine, nullptr);
+  for (const auto& rec : attack_capture(99).records) a.feed(rec.data);
+  a.finish();
+  ASSERT_GT(a.stats().suspicious_packets, 0u);
+  ASSERT_GT(a.alerts_emitted(), 0u);
+
+  gen::TraceBuilder tb(100);
+  tb.add_tcp_flow(kAttacker, Endpoint{Ipv4Addr::from_octets(10, 0, 0, 20), 80},
+                  gen::wrap_in_overflow(gen::make_shell_spawn_corpus()[0].code, tb.prng()));
+  LiveSession b(engine, nullptr);
+  for (const auto& rec : tb.capture().records) b.feed(rec.data);
+  b.finish();
+  EXPECT_GT(b.stats().packets, 0u);
+  EXPECT_EQ(b.stats().suspicious_packets, 0u);
+  EXPECT_EQ(b.alerts_emitted(), 0u);
+  // Neither session wrote to the engine's own (process_capture) taint.
+  EXPECT_FALSE(engine.is_tainted(kAttacker.ip));
 }
 
 /// Captures "session metrics:" log lines at info level for its scope.

@@ -148,7 +148,7 @@ TEST_F(TelemetryTest, HealthFlagsStaleHeartbeatOnActiveSlotsOnly) {
   // A fresh heartbeat clears it; an inactive slot is never checked.
   slot.heartbeat();
   EXPECT_TRUE(evaluate_health(strict).healthy);
-  slot.end_run();
+  slot.end_run(WorkerTable::instance().now_ns());
   usleep(20000);
   EXPECT_TRUE(evaluate_health(strict).healthy);
 }
@@ -237,14 +237,18 @@ pcap::Capture small_corpus() {
 }
 
 TEST_F(TelemetryTest, WorkerBusyIdleSumsReconcileWithRunWall) {
+  // Analysis workers and stage-(a) shard consumers alike.
   WorkerTable::instance().reset();
-  core::NidsEngine engine(threaded_options());
+  core::NidsOptions options = threaded_options();
+  options.shards = 2;
+  core::NidsEngine engine(options);
   (void)engine.process_capture(small_corpus());
 
   bool saw_worker = false;
+  bool saw_shard = false;
   for (const WorkerSlot::Snapshot& w : WorkerTable::instance().snapshot()) {
-    if (w.kind != "worker") continue;
-    saw_worker = true;
+    if (w.kind != "worker" && w.kind != "shard") continue;
+    (w.kind == "worker" ? saw_worker : saw_shard) = true;
     EXPECT_FALSE(w.active) << "workers joined before process_capture returned";
     EXPECT_GT(w.run_seconds, 0.0);
     const double attributed = w.busy_seconds + w.idle_seconds;
@@ -255,6 +259,7 @@ TEST_F(TelemetryTest, WorkerBusyIdleSumsReconcileWithRunWall) {
         << w.kind << " " << w.index;
   }
   EXPECT_TRUE(saw_worker);
+  EXPECT_TRUE(saw_shard);
 
   // The engine published the capacity gauges the readiness checks use.
   EXPECT_EQ(pipeline_metrics().queue_capacity->value(), 256);

@@ -13,8 +13,8 @@
 //     --extended              use the extended template library
 //     --emulate               enable emulation-backed deep analysis
 //     --threads <n>           analysis worker threads (default 1;
-//                             0 = shard-local: analyze on the shard
-//                             threads, no global unit queue)
+//                             <= 1 = inline on the shard thread that
+//                             formed the unit, no global unit queue)
 //     --unit-batch <n>        units a worker dequeues per lock (default 8)
 //     --shards <n>            source-affine stage-(a) shards (default 1)
 //     --verdict-cache-mb <n>  verdict cache byte budget in MB (default 64)
@@ -104,7 +104,7 @@ void usage(const char* argv0) {
                "  --sig-rules <file>    also run Snort-style content rules\n"
                "  --extended            use the extended template library\n"
                "  --emulate             enable emulation deep analysis\n"
-               "  --threads <n>         analysis worker threads (0 = shard-local)\n"
+               "  --threads <n>         analysis worker threads (<= 1 = inline on the shard)\n"
                "  --unit-batch <n>      units a worker dequeues per lock\n"
                "  --shards <n>          source-affine stage-(a) shards\n"
                "  --verdict-cache-mb <n>  verdict cache byte budget (default 64)\n"
