@@ -27,6 +27,14 @@ void hash_option(Sha256& ctx, std::string_view label, std::uint64_t value) {
   ctx.update(&value, sizeof value);
 }
 
+Digest unit_key(const Digest& config_fingerprint, util::ByteView unit,
+                bool allow_simd) noexcept {
+  Sha256 ctx(allow_simd);
+  ctx.update(config_fingerprint.data(), config_fingerprint.size());
+  ctx.update(unit);
+  return ctx.finish();
+}
+
 void hash_templates(Sha256& ctx, const std::vector<semantic::Template>& templates) {
   hash_option(ctx, "template_count", templates.size());
   for (const semantic::Template& t : templates) {

@@ -27,4 +27,8 @@ void hash_templates(Sha256& ctx, const std::vector<semantic::Template>& template
 /// the fingerprint).
 void hash_option(Sha256& ctx, std::string_view label, std::uint64_t value);
 
+/// The verdict-cache key of one unit: SHA-256(config_fingerprint || unit).
+[[nodiscard]] Digest unit_key(const Digest& config_fingerprint, util::ByteView unit,
+                              bool allow_simd = true) noexcept;
+
 }  // namespace senids::cache

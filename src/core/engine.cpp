@@ -280,20 +280,17 @@ NidsOptions with_debug_verification(NidsOptions options) {
 
 }  // namespace
 
-namespace {
-
-/// SHA-256 over every input that can change a unit's verdict: the
-/// template set plus extractor/analyzer/emulation options. Prefixed to
-/// every cache key, so reconfiguring the engine can never serve a stale
-/// hit. post_lift_hook is deliberately excluded — it verifies, it does
-/// not decide. The triage mode is excluded too: like the threading and
+/// Prefixed to every cache key, so reconfiguring the engine can never
+/// serve a stale hit. post_lift_hook is deliberately excluded — it
+/// verifies, it does not decide. The triage mode is excluded too: like the threading and
 /// cache knobs it is behaviour-preserving (rejected units skip the cache
 /// entirely, so a triage-off run can never replay a triage-on verdict it
 /// should not have, and vice versa — the stored verdicts themselves are
 /// identical by the differential contract).
 cache::Digest compute_config_fingerprint(const NidsOptions& o,
-                                         const std::vector<semantic::Template>& templates) {
-  cache::Sha256 ctx;
+                                         const std::vector<semantic::Template>& templates,
+                                         bool allow_simd) {
+  cache::Sha256 ctx(allow_simd);
   cache::hash_templates(ctx, templates);
   auto opt = [&ctx](std::string_view label, std::uint64_t v) {
     cache::hash_option(ctx, label, v);
@@ -324,8 +321,6 @@ cache::Digest compute_config_fingerprint(const NidsOptions& o,
   opt("emu.min_run_insns", o.emulator.min_run_insns);
   return ctx.finish();
 }
-
-}  // namespace
 
 NidsEngine::NidsEngine(NidsOptions options)
     : NidsEngine(std::move(options), semantic::make_standard_library()) {}
@@ -439,10 +434,7 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
     if (vcache && !cacheable) ++unit.cache_bypass;
     cache::Digest cache_key{};
     if (cacheable) {
-      cache::Sha256 key_ctx;
-      key_ctx.update(config_fingerprint_.data(), config_fingerprint_.size());
-      key_ctx.update(payload);
-      cache_key = key_ctx.finish();
+      cache_key = cache::unit_key(config_fingerprint_, payload);
       if (auto verdict = vcache->lookup(cache_key)) {
         ++unit.cache_hits;
         unit.cache_bytes_saved = verdict->bytes_analyzed;

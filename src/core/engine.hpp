@@ -386,4 +386,14 @@ class NidsEngine {
 /// deterministic (ts/src/dst alone tie for e.g. two frames of one flow).
 [[nodiscard]] bool alert_less(const Alert& a, const Alert& b) noexcept;
 
+/// SHA-256 over every input that can change a unit's verdict: the
+/// template set plus the extractor, analyzer and emulation options.
+/// `options` must be normalized as NidsEngine::options() holds them; the
+/// engine's config_fingerprint() is this function's result.
+/// `allow_simd == false` hashes with the scalar SHA-256 kernel, so tests
+/// can show that the fingerprint is the same on every host.
+[[nodiscard]] cache::Digest compute_config_fingerprint(
+    const NidsOptions& options, const std::vector<semantic::Template>& templates,
+    bool allow_simd = true);
+
 }  // namespace senids::core

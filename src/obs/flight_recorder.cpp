@@ -99,9 +99,10 @@ struct Slot {
     const auto packed = pack(r);
     const std::uint64_t s = seq.load(std::memory_order_relaxed);
     seq.store(s + 1, std::memory_order_release);
-    std::atomic_thread_fence(std::memory_order_release);
+    // Release on each word keeps the odd seq above ordered before it: a
+    // reader that sees any new word then sees seq != s (see read()).
     for (std::size_t i = 0; i < kWords; ++i) {
-      w[i].store(packed[i], std::memory_order_relaxed);
+      w[i].store(packed[i], std::memory_order_release);
     }
     seq.store(s + 2, std::memory_order_release);
   }
@@ -111,10 +112,10 @@ struct Slot {
       const std::uint64_t s1 = seq.load(std::memory_order_acquire);
       if (s1 == 0 || (s1 & 1)) return false;  // unwritten or mid-write
       std::array<std::uint64_t, kWords> copy{};
+      // Acquire on each word keeps the seq re-check below after it.
       for (std::size_t i = 0; i < kWords; ++i) {
-        copy[i] = w[i].load(std::memory_order_relaxed);
+        copy[i] = w[i].load(std::memory_order_acquire);
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
       const std::uint64_t s2 = seq.load(std::memory_order_relaxed);
       if (s1 == s2 && unpack(copy, r)) return true;
     }

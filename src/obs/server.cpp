@@ -11,6 +11,9 @@
 #include <thread>
 #include <vector>
 
+// Header-only use: sha256_kernel() is inline over util::cpu_has_sha(),
+// so obs does not link the cache library.
+#include "cache/sha256.hpp"
 #include "obs/flight_recorder.hpp"
 #include "util/sync.hpp"
 #include "obs/metrics.hpp"
@@ -183,6 +186,9 @@ std::string status_json(const std::string& build_info) {
                                               process_epoch())
                     .count());
   append_format(out, "  \"build_info\": \"%s\",\n", json_escape(build_info).c_str());
+  // The SHA-256 kernel sets the cost of every verdict-cache key and of
+  // engine setup, so a cross-host difference in either shows its cause.
+  append_format(out, "  \"sha256_kernel\": \"%s\",\n", cache::sha256_kernel());
 
   append_format(out,
                 "  \"pipeline\": {\"packets\": %llu, \"suspicious\": %llu, "

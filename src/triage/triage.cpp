@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <array>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#endif
-
 #include "extract/base64.hpp"
 #include "extract/heuristics.hpp"
 #include "extract/unicode.hpp"
 #include "semantic/pattern.hpp"
+#include "util/cpu.hpp"
+
+#ifdef SENIDS_X86_SIMD
+#include <immintrin.h>
+#endif
 
 namespace senids::triage {
 
@@ -220,14 +221,7 @@ struct Trackers {
   }
 };
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define SENIDS_TRIAGE_AVX2 1
-
-bool cpu_has_avx2() noexcept {
-  static const bool ok = __builtin_cpu_supports("avx2") != 0;
-  return ok;
-}
-
+#ifdef SENIDS_X86_SIMD
 /// AVX2 block scan over [begin, end) (both multiples of 32, begin >= 32
 /// so the eq-mask can load at begin-1). Byte classes are resolved with
 /// nibble-pair shuffles: a byte is in a class iff hi_lut[hi] &
@@ -312,15 +306,15 @@ __attribute__((target("avx2"))) void scan_blocks_avx2(const std::uint8_t* data,
     }
   }
 }
-#endif  // x86-64
+#endif  // SENIDS_X86_SIMD
 
 ScanStats scan(util::ByteView payload, [[maybe_unused]] bool allow_simd = true) {
   Trackers t;
   const std::uint8_t* cls_of = class_table().data();
   const std::size_t n = payload.size();
   std::size_t i = 0;
-#ifdef SENIDS_TRIAGE_AVX2
-  if (allow_simd && n >= 96 && cpu_has_avx2()) {
+#ifdef SENIDS_X86_SIMD
+  if (allow_simd && n >= 96 && util::cpu_has_avx2()) {
     // Scalar prologue covers the first block (the SIMD eq-mask reads one
     // byte before each block, so blocks must start at offset >= 1); the
     // scalar tail picks up the last partial block.

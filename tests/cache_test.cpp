@@ -9,6 +9,7 @@
 #include "core/engine.hpp"
 #include "semantic/library.hpp"
 #include "util/bytes.hpp"
+#include "util/cpu.hpp"
 #include "util/prng.hpp"
 
 namespace senids {
@@ -20,22 +21,83 @@ std::string hex(const cache::Digest& d) {
 
 // ------------------------------------------------------------------ SHA-256
 
-TEST(Sha256, Fips180KnownVectors) {
-  EXPECT_EQ(hex(cache::Sha256::hash(util::as_bytes(""))),
+// Every digest check runs on both compression kernels. The scalar half
+// always runs; the SHA-NI half skips on a host without the extension.
+#define SKIP_WITHOUT_SHA_NI() \
+  if (!util::cpu_has_sha()) GTEST_SKIP() << "host CPU has no SHA extensions"
+
+void expect_fips180_vectors(bool allow_simd) {
+  auto digest = [allow_simd](const char* msg) {
+    return hex(cache::Sha256::hash(util::as_bytes(msg), allow_simd));
+  };
+  EXPECT_EQ(digest(""),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-  EXPECT_EQ(hex(cache::Sha256::hash(util::as_bytes("abc"))),
+  EXPECT_EQ(digest("abc"),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-  EXPECT_EQ(hex(cache::Sha256::hash(util::as_bytes(
-                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+  // 56 bytes: the padding needs a second block.
+  EXPECT_EQ(digest("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  // 112 bytes: one full block through update(), the rest through finish().
+  EXPECT_EQ(digest("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+                   "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
 }
 
-TEST(Sha256, MillionAs) {
-  cache::Sha256 ctx;
+void expect_million_as(bool allow_simd) {
+  cache::Sha256 ctx(allow_simd);
   const std::string chunk(1000, 'a');
   for (int i = 0; i < 1000; ++i) ctx.update(util::as_bytes(chunk));
   EXPECT_EQ(hex(ctx.finish()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256, Fips180KnownVectors) { expect_fips180_vectors(/*allow_simd=*/false); }
+
+TEST(Sha256, Fips180KnownVectorsShaNi) {
+  SKIP_WITHOUT_SHA_NI();
+  expect_fips180_vectors(/*allow_simd=*/true);
+}
+
+TEST(Sha256, MillionAs) { expect_million_as(/*allow_simd=*/false); }
+
+TEST(Sha256, MillionAsShaNi) {
+  SKIP_WITHOUT_SHA_NI();
+  expect_million_as(/*allow_simd=*/true);
+}
+
+TEST(Sha256, ShaNiMatchesScalarOnRandomStatesAndBlocks) {
+  SKIP_WITHOUT_SHA_NI();
+  util::Prng rng(0x5ba256);
+  for (std::size_t nblocks = 1; nblocks <= 64; ++nblocks) {
+    for (int trial = 0; trial < 4; ++trial) {
+      cache::Sha256State scalar{};
+      for (std::uint32_t& word : scalar) word = static_cast<std::uint32_t>(rng.next());
+      cache::Sha256State shani = scalar;
+      const util::Bytes data = rng.bytes(64 * nblocks);
+      cache::compress_blocks(scalar, data.data(), nblocks, /*allow_simd=*/false);
+      cache::compress_blocks(shani, data.data(), nblocks, /*allow_simd=*/true);
+      ASSERT_EQ(shani, scalar) << nblocks << " blocks, trial " << trial;
+    }
+  }
+}
+
+TEST(Sha256, EveryUpdateSplitMatchesOneShotOnBothKernels) {
+  const util::Bytes msg = util::Prng(300).bytes(300);
+  const cache::Digest want = cache::Sha256::hash(msg, /*allow_simd=*/false);
+  auto split_digest = [&msg](bool allow_simd, std::size_t split) {
+    cache::Sha256 ctx(allow_simd);
+    ctx.update(util::ByteView{msg.data(), split});
+    ctx.update(util::ByteView{msg.data() + split, msg.size() - split});
+    return ctx.finish();
+  };
+  for (std::size_t split = 0; split <= 129; ++split) {
+    EXPECT_EQ(split_digest(false, split), want) << "scalar, split at " << split;
+  }
+  SKIP_WITHOUT_SHA_NI();
+  EXPECT_EQ(cache::Sha256::hash(msg, /*allow_simd=*/true), want);
+  for (std::size_t split = 0; split <= 129; ++split) {
+    EXPECT_EQ(split_digest(true, split), want) << "sha-ni, split at " << split;
+  }
 }
 
 TEST(Sha256, IncrementalEqualsOneShot) {
@@ -97,6 +159,29 @@ TEST(ConfigFingerprint, IgnoresCacheAndThreadingKnobs) {
   tuned.verdict_cache_bytes = 1 << 20;
   tuned.max_queued_units = 4;
   EXPECT_EQ(fingerprint_of(tuned), base);
+}
+
+TEST(ConfigFingerprint, SameOnEveryKernel) {
+  // Keys stay comparable across hosts with and without SHA-NI (DESIGN.md
+  // "Key derivation"): the engine's fingerprint and the key it files a
+  // unit under are what the scalar kernel computes.
+  SKIP_WITHOUT_SHA_NI();
+  core::NidsOptions options;
+  options.verdict_cache_bytes = 1 << 20;
+  core::NidsEngine engine(options);
+  const auto& templates = engine.analyzer().templates();
+  const cache::Digest scalar_fp =
+      core::compute_config_fingerprint(engine.options(), templates, /*allow_simd=*/false);
+  EXPECT_EQ(
+      core::compute_config_fingerprint(engine.options(), templates, /*allow_simd=*/true),
+      scalar_fp);
+  EXPECT_EQ(engine.config_fingerprint(), scalar_fp);
+
+  const util::Bytes unit = util::Prng(7).bytes(1000);
+  const cache::Digest scalar_key = cache::unit_key(scalar_fp, unit, /*allow_simd=*/false);
+  EXPECT_EQ(cache::unit_key(scalar_fp, unit, /*allow_simd=*/true), scalar_key);
+  (void)engine.analyze_payload(unit, core::Alert{});
+  EXPECT_TRUE(engine.verdict_cache()->lookup(scalar_key).has_value());
 }
 
 TEST(ConfigFingerprint, HashTemplatesCoversStatementFields) {

@@ -22,6 +22,7 @@
 #include "obs/pipeline.hpp"
 #include "obs/server.hpp"
 #include "obs/workers.hpp"
+#include "util/cpu.hpp"
 
 namespace senids::obs {
 namespace {
@@ -164,6 +165,11 @@ TEST_F(TelemetryTest, StatuszCarriesDocumentedKeys) {
         "\"flight_recorder\""}) {
     EXPECT_NE(r.body.find(key), std::string::npos) << "missing " << key;
   }
+  // The SHA-256 kernel this host's cache keys are hashed with.
+  const std::string kernel = std::string("\"sha256_kernel\": \"") +
+                             (util::cpu_has_sha() ? "sha-ni" : "scalar") + "\"";
+  EXPECT_NE(r.body.find(kernel), std::string::npos) << "missing " << kernel << " in\n"
+                                                    << r.body;
 }
 
 TEST_F(TelemetryTest, TracezServesFlightRecorderDump) {
