@@ -69,7 +69,7 @@ void evaluate(const char* name, const util::Bytes& code) {
   std::printf("%s", arch::format_listing(arch::linear_sweep(code)).c_str());
   auto lifted = ir::lift(trace);
   semantic::LiftedCode lc{&trace, &lifted.events, code, lifted.arena.get()};
-  const semantic::Template t = semantic::tmpl_xor_decrypt_loop();
+  const semantic::Template t = semantic::library_template("xor-decrypt-loop");
   auto m = semantic::match_template(t, lc);
   if (m) {
     std::uint32_t key = 0;

@@ -72,7 +72,7 @@ void BM_TemplateMatch(benchmark::State& state) {
   auto trace = arch::execution_trace(code, 0);
   auto lifted = ir::lift(trace);
   semantic::LiftedCode lc{&trace, &lifted.events, code, lifted.arena.get()};
-  const auto t = semantic::tmpl_xor_decrypt_loop();
+  const auto t = semantic::library_template("xor-decrypt-loop");
   for (auto _ : state) {
     benchmark::DoNotOptimize(semantic::match_template(t, lc));
   }

@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   auto clet_lifted = ir::lift(clet_trace);
   semantic::LiftedCode clet_lc{&clet_trace, &clet_lifted.events, clet.bytes,
                                   clet_lifted.arena.get()};
-  auto m = semantic::match_template(semantic::tmpl_xor_decrypt_loop(), clet_lc);
+  auto m = semantic::match_template(semantic::library_template("xor-decrypt-loop"), clet_lc);
   std::printf("xor template on Clet instance: %s\n", m ? "MATCH" : "no match");
   return 0;
 }

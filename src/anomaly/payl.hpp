@@ -15,8 +15,8 @@
 namespace senids::anomaly {
 
 /// Normalised 1-gram byte spectrum of a payload (each cell in [0, 1],
-/// summing to 1 for non-empty input). The shared primitive under both
-/// the PAYL detector and the stage-0 triage spectrum screen.
+/// summing to 1 for non-empty input): what the PAYL detector trains on
+/// and scores.
 [[nodiscard]] std::array<double, 256> byte_spectrum(util::ByteView payload);
 
 /// One trained model cell: running mean/variance of each byte frequency.

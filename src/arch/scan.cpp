@@ -53,17 +53,14 @@ void find_code_runs(util::ByteView code, std::size_t min_insns, std::vector<Code
   }
 
   for (std::size_t i = 0; i < n; ++i) {
-    if (run_len[i] >= min_insns && !is_tail[i]) {
-      // Walk to compute byte length of the run.
-      std::size_t pos = i;
-      std::size_t count = 0;
-      while (pos < n && run_len[pos] != 0) {
-        ++count;
-        pos = next[pos];
-      }
-      out.push_back(CodeRun{i, count, pos - i});
-    }
+    if (run_len[i] >= min_insns && !is_tail[i]) out.push_back(CodeRun{i, run_len[i]});
   }
+  // Rank longest first: real code (decoders, shellcode bodies) forms long
+  // coherent runs, while text/noise fragments into many short ones, so
+  // every consumer with an entry budget wants the long runs first.
+  std::sort(out.begin(), out.end(), [](const CodeRun& a, const CodeRun& b) {
+    return a.insn_count != b.insn_count ? a.insn_count > b.insn_count : a.start < b.start;
+  });
 }
 
 std::vector<CodeRun> find_code_runs(util::ByteView code, std::size_t min_insns,

@@ -16,8 +16,7 @@ namespace senids::arch {
 /// A maximal linear decode run.
 struct CodeRun {
   std::size_t start = 0;
-  std::size_t insn_count = 0;
-  std::size_t byte_len = 0;
+  std::size_t insn_count = 0;  // instructions decodable linearly from start
 };
 
 /// Reusable working memory for the scanner. find_code_runs sizes two
@@ -47,7 +46,8 @@ struct ScanScratch {
 
 /// Find decode runs of at least `min_insns` instructions. Runs contained
 /// in a longer run (same synchronization) are suppressed, so the result
-/// is a small set of candidate shellcode entry points.
+/// is a small set of candidate shellcode entry points, ranked: longest
+/// first, equal lengths by ascending offset.
 std::vector<CodeRun> find_code_runs(util::ByteView code, std::size_t min_insns = 6,
                                     Mode mode = Mode::k32);
 

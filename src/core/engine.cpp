@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <optional>
+#include <thread>
 #include <unordered_map>
 
 #include "arch/arch.hpp"
@@ -19,7 +19,7 @@
 #include "util/log.hpp"
 #include "util/queue.hpp"
 #include "util/sync.hpp"
-#include "util/thread_pool.hpp"
+#include "util/text.hpp"
 #include "util/timer.hpp"
 #include "verify/ir_verify.hpp"
 #include "verify/table_check.hpp"
@@ -28,11 +28,10 @@ namespace senids::core {
 
 namespace {
 
-using SteadyClock = std::chrono::steady_clock;
+using util::append_format;
 
-double seconds_since(SteadyClock::time_point start) {
-  return std::chrono::duration<double>(SteadyClock::now() - start).count();
-}
+using SteadyClock = std::chrono::steady_clock;
+using util::seconds_since;
 
 /// Saturating seconds -> microseconds for flight-recorder fields.
 std::uint32_t to_flight_us(double seconds) {
@@ -44,27 +43,6 @@ std::uint32_t to_flight_us(double seconds) {
 
 std::uint32_t clamp_u32(std::size_t v) {
   return static_cast<std::uint32_t>(std::min<std::size_t>(v, 0xffffffffu));
-}
-
-/// printf into a growing string: measures first, then formats into the
-/// exact space. No fixed buffer, so long template names never truncate.
-#if defined(__GNUC__)
-__attribute__((format(printf, 2, 3)))
-#endif
-void append_format(std::string& out, const char* fmt, ...) {
-  std::va_list args;
-  va_start(args, fmt);
-  std::va_list measured;
-  va_copy(measured, args);
-  const int n = std::vsnprintf(nullptr, 0, fmt, measured);
-  va_end(measured);
-  if (n > 0) {
-    const std::size_t old = out.size();
-    out.resize(old + static_cast<std::size_t>(n) + 1);
-    std::vsnprintf(out.data() + old, static_cast<std::size_t>(n) + 1, fmt, args);
-    out.resize(old + static_cast<std::size_t>(n));
-  }
-  va_end(args);
 }
 
 void merge_analyzer(semantic::AnalyzerStats& into, const semantic::AnalyzerStats& from) {
@@ -412,8 +390,7 @@ std::vector<Alert> NidsEngine::analyze_payload(AnalysisContext& ctx, util::ByteV
     // units_analyzed - triage_rejected.
     if (triage_) {
       tic();
-      const triage::TriageDecision decision =
-          triage_->screen(payload, meta_prototype.dst_port);
+      const triage::TriageDecision decision = triage_->screen(payload);
       stage(obs::Stage::kTriage, toc(), payload.size());
       ++unit.triage_screened;
       if (!decision.escalate) {
@@ -654,9 +631,9 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
     std::uint64_t unit_id = 0;
   };
 
-  // Handoff queue and worker pool for stages (b)-(e). With threads <= 1
-  // the queue/pool are bypassed entirely and units are analyzed inline
-  // on the shard that formed them.
+  // Handoff queue and worker threads for stages (b)-(e). With threads <= 1
+  // the queue and workers are bypassed entirely and units are analyzed
+  // inline on the shard that formed them.
   const std::size_t workers = options_.threads > 1 ? options_.threads : 0;
   util::BoundedQueue<Unit> queue(options_.max_queued_units, options_.max_queued_bytes);
   queue.set_metrics(&queue_metrics());
@@ -680,44 +657,43 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
     }
   } merge_point{report};
 
-  std::optional<util::ThreadPool> pool;
-  if (workers) {
-    pool.emplace(workers);
-    for (std::size_t i = 0; i < workers; ++i) {
-      pool->submit([this, i, &queue, &merge_point] {
-        // Long-running consumer: drain units until the producers close
-        // the queue, then merge local results once. Each worker owns a
-        // private AnalysisContext (no shared extractor/analyzer state on
-        // the hot path) and dequeues up to unit_batch units per lock
-        // acquisition; verdicts are per-unit and the report is fully
-        // sorted, so neither can change the output.
-        obs::WorkerSlot& wslot = obs::WorkerTable::instance().slot("worker", i);
-        // One timestamp per transition: blocked in pop_batch is *idle*
-        // (starved for input); setup, each batch and the final merge are
-        // *busy*.
-        std::uint64_t mark = wslot.begin_run();
-        NidsStats local;
-        std::vector<Alert> alerts;
-        AnalysisContext ctx = make_analysis_context();
-        std::vector<Unit> batch;
-        for (;;) {
-          wslot.busy_since(mark);
-          const std::size_t popped = queue.pop_batch(batch, options_.unit_batch);
-          wslot.idle_since(mark);
-          if (popped == 0) break;
-          wslot.heartbeat();
-          for (Unit& unit : batch) {
-            auto found = analyze_payload(ctx, unit.payload, unit.meta, &local, unit.unit_id);
-            alerts.insert(alerts.end(), std::make_move_iterator(found.begin()),
-                          std::make_move_iterator(found.end()));
-          }
-          wslot.add_units(batch.size());
-        }
-        merge_point.merge(std::move(alerts), local);
+  // One thread per analysis worker, joined after the queue closes.
+  std::vector<std::jthread> worker_threads;
+  worker_threads.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
+    worker_threads.emplace_back([this, i, &queue, &merge_point] {
+      // Long-running consumer: drain units until the producers close
+      // the queue, then merge local results once. Each worker owns a
+      // private AnalysisContext (no shared extractor/analyzer state on
+      // the hot path) and dequeues up to unit_batch units per lock
+      // acquisition; verdicts are per-unit and the report is fully
+      // sorted, so neither can change the output.
+      obs::WorkerSlot& wslot = obs::WorkerTable::instance().slot("worker", i);
+      // One timestamp per transition: blocked in pop_batch is *idle*
+      // (starved for input); setup, each batch and the final merge are
+      // *busy*.
+      std::uint64_t mark = wslot.begin_run();
+      NidsStats local;
+      std::vector<Alert> alerts;
+      AnalysisContext ctx = make_analysis_context();
+      std::vector<Unit> batch;
+      for (;;) {
         wslot.busy_since(mark);
-        wslot.end_run(mark);
-      });
-    }
+        const std::size_t popped = queue.pop_batch(batch, options_.unit_batch);
+        wslot.idle_since(mark);
+        if (popped == 0) break;
+        wslot.heartbeat();
+        for (Unit& unit : batch) {
+          auto found = analyze_payload(ctx, unit.payload, unit.meta, &local, unit.unit_id);
+          alerts.insert(alerts.end(), std::make_move_iterator(found.begin()),
+                        std::make_move_iterator(found.end()));
+        }
+        wslot.add_units(batch.size());
+      }
+      merge_point.merge(std::move(alerts), local);
+      wslot.busy_since(mark);
+      wslot.end_run(mark);
+    });
   }
 
   // Per-shard unit sinks. With workers the unit goes through the shared
@@ -776,9 +752,11 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
       shard_queues.push_back(std::move(q));
     }
     {
-      util::ThreadPool shard_pool(nshards);
+      // One thread per shard; leaving this scope joins them.
+      std::vector<std::jthread> shard_threads;
+      shard_threads.reserve(nshards);
       for (std::size_t si = 0; si < nshards; ++si) {
-        shard_pool.submit([this, si, &shard_queues, &sinks] {
+        shard_threads.emplace_back([this, si, &shard_queues, &sinks] {
           PipelineShard& shard = *shards_[si];
           auto& q = *shard_queues[si];
           obs::WorkerSlot& sslot = obs::WorkerTable::instance().slot("shard", si);
@@ -822,7 +800,6 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
         shard_queues[si]->close();
       }
       report.stats.dispatch_seconds = dispatch_timer.seconds();
-      shard_pool.wait_idle();
     }
   }
 
@@ -841,10 +818,7 @@ Report NidsEngine::process_capture(const pcap::Capture& capture) {
   // workers' merge_stats (the inline path merged it into the shard's
   // stats).
   queue.close();
-  if (pool) {
-    pool->wait_idle();
-    pool.reset();
-  }
+  worker_threads.clear();  // joins
 
   // Deterministic alert order regardless of shard routing or worker
   // scheduling: the sort key covers every alert field (a partial key left

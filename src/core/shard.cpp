@@ -6,16 +6,14 @@
 
 #include "core/pipeline_obs.hpp"
 #include "obs/trace.hpp"
+#include "util/timer.hpp"
 
 namespace senids::core {
 
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
-
-double seconds_since(SteadyClock::time_point start) {
-  return std::chrono::duration<double>(SteadyClock::now() - start).count();
-}
+using util::seconds_since;
 
 /// Producer-side spans are placed ending now: the stage just finished.
 std::uint64_t span_start_ending_now(double seconds) {

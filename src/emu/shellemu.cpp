@@ -149,11 +149,8 @@ EmulationResult emulate_entry(util::ByteView frame, std::size_t entry,
 
 EmulationResult emulate_frame(util::ByteView frame, const EmulatorOptions& options) {
   emu_metrics().frames.add();
-  auto runs = arch::find_code_runs(frame, options.min_run_insns, options.mode);
-  std::stable_sort(runs.begin(), runs.end(), [](const arch::CodeRun& a,
-                                                const arch::CodeRun& b) {
-    return a.insn_count > b.insn_count;
-  });
+  // Ranked longest first by the scanner.
+  const auto runs = arch::find_code_runs(frame, options.min_run_insns, options.mode);
 
   EmulationResult best;
   auto better = [](const EmulationResult& a, const EmulationResult& b) {

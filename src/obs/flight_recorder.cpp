@@ -2,38 +2,21 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdarg>
 #include <cstdio>
 #include <memory>
 
 #include "obs/metrics.hpp"
 #include "obs/pipeline.hpp"
 #include "util/sync.hpp"
+#include "util/text.hpp"
 
 namespace senids::obs {
 
 namespace {
 
-using SteadyClock = std::chrono::steady_clock;
+using util::append_format;
 
-#if defined(__GNUC__)
-__attribute__((format(printf, 2, 3)))
-#endif
-void append_format(std::string& out, const char* fmt, ...) {
-  std::va_list args;
-  va_start(args, fmt);
-  std::va_list measured;
-  va_copy(measured, args);
-  const int n = std::vsnprintf(nullptr, 0, fmt, measured);
-  va_end(measured);
-  if (n > 0) {
-    const std::size_t old = out.size();
-    out.resize(old + static_cast<std::size_t>(n) + 1);
-    std::vsnprintf(out.data() + old, static_cast<std::size_t>(n) + 1, fmt, args);
-    out.resize(old + static_cast<std::size_t>(n));
-  }
-  va_end(args);
-}
+using SteadyClock = std::chrono::steady_clock;
 
 constexpr std::size_t kWords = 8;
 

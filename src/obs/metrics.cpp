@@ -2,38 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <map>
 #include <memory>
 
 #include "util/sync.hpp"
+#include "util/text.hpp"
 
 namespace senids::obs {
 
 namespace {
 
-std::atomic<bool> g_metrics_enabled{true};
+using util::append_format;
 
-/// printf-append helper shared by the exporters.
-#if defined(__GNUC__)
-__attribute__((format(printf, 2, 3)))
-#endif
-void append_format(std::string& out, const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  va_list measured;
-  va_copy(measured, args);
-  const int n = std::vsnprintf(nullptr, 0, fmt, measured);
-  va_end(measured);
-  if (n > 0) {
-    const std::size_t old = out.size();
-    out.resize(old + static_cast<std::size_t>(n) + 1);
-    std::vsnprintf(out.data() + old, static_cast<std::size_t>(n) + 1, fmt, args);
-    out.resize(old + static_cast<std::size_t>(n));
-  }
-  va_end(args);
-}
+std::atomic<bool> g_metrics_enabled{true};
 
 std::string format_double(double v) {
   std::string out;

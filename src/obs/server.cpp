@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <string_view>
@@ -19,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "obs/pipeline.hpp"
 #include "obs/workers.hpp"
+#include "util/text.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define SENIDS_HAVE_SOCKETS 1
@@ -34,40 +34,8 @@ namespace senids::obs {
 
 namespace {
 
-#if defined(__GNUC__)
-__attribute__((format(printf, 2, 3)))
-#endif
-void append_format(std::string& out, const char* fmt, ...) {
-  std::va_list args;
-  va_start(args, fmt);
-  std::va_list measured;
-  va_copy(measured, args);
-  const int n = std::vsnprintf(nullptr, 0, fmt, measured);
-  va_end(measured);
-  if (n > 0) {
-    const std::size_t old = out.size();
-    out.resize(old + static_cast<std::size_t>(n) + 1);
-    std::vsnprintf(out.data() + old, static_cast<std::size_t>(n) + 1, fmt, args);
-    out.resize(old + static_cast<std::size_t>(n));
-  }
-  va_end(args);
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      append_format(out, "\\u%04x", static_cast<unsigned>(c) & 0xff);
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
+using util::append_format;
+using util::json_escape;
 
 /// Value of the first gauge registered under `family` with exactly
 /// `labels` ("" = unlabelled). 0 when absent — callers treat 0 as "not

@@ -2,36 +2,19 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdarg>
 #include <cstdio>
 #include <memory>
 
 #include "util/sync.hpp"
+#include "util/text.hpp"
 
 namespace senids::obs {
 
 namespace {
 
-std::atomic<bool> g_trace_enabled{false};
+using util::append_format;
 
-#if defined(__GNUC__)
-__attribute__((format(printf, 2, 3)))
-#endif
-void append_format(std::string& out, const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  va_list measured;
-  va_copy(measured, args);
-  const int n = std::vsnprintf(nullptr, 0, fmt, measured);
-  va_end(measured);
-  if (n > 0) {
-    const std::size_t old = out.size();
-    out.resize(old + static_cast<std::size_t>(n) + 1);
-    std::vsnprintf(out.data() + old, static_cast<std::size_t>(n) + 1, fmt, args);
-    out.resize(old + static_cast<std::size_t>(n));
-  }
-  va_end(args);
-}
+std::atomic<bool> g_trace_enabled{false};
 
 void append_span_json(std::string& out, const Span& s) {
   append_format(out,

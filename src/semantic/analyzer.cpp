@@ -73,15 +73,9 @@ std::vector<Detection> SemanticAnalyzer::analyze(util::ByteView frame, AnalyzerS
   std::vector<std::size_t>& entries = scratch.entries;
   entries.clear();
   std::vector<arch::CodeRun>& runs = scratch.runs;
+  // The scanner ranks runs longest first, so a large frame cannot
+  // exhaust the entry budget on noise before reaching the payload.
   isa.find_code_runs(frame, options_.min_run_insns, runs, scratch.scan);
-  // Long decode runs first: real code (decoders, shellcode bodies) forms
-  // long coherent runs, while text/noise fragments into thousands of
-  // short ones. Without this ordering a large frame can exhaust the
-  // entry budget on noise before reaching the payload.
-  std::stable_sort(runs.begin(), runs.end(), [](const arch::CodeRun& a,
-                                                const arch::CodeRun& b) {
-    return a.insn_count > b.insn_count;
-  });
   std::vector<char>& seen = scratch.entry_seen;
   seen.assign(frame.size(), 0);
   bool entry_budget_hit = false;

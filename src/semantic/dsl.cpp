@@ -49,6 +49,7 @@ class Lexer {
         ++pos_;
         t.kind = Token::Kind::kString;
         while (pos_ < text_.size() && text_[pos_] != '"') {
+          if (text_[pos_] == '\n') ++line_;
           t.text.push_back(text_[pos_++]);
         }
         if (pos_ < text_.size()) ++pos_;  // closing quote
@@ -312,6 +313,14 @@ class Parser {
     }
     if (kw == "loopback") {
       t.stmts.push_back(st_branch_back());
+      return true;
+    }
+    if (kw == "note") {
+      // Free text for alerts and format_match; never matched or hashed.
+      if (cur_.kind != Token::Kind::kString) return fail("note expects a string");
+      if (!t.note.empty()) return fail("template '" + t.name + "' has two notes");
+      t.note = cur_.text;
+      advance();
       return true;
     }
     if (kw == "syscall" || kw == "syscall64") {

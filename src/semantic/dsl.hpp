@@ -4,6 +4,7 @@
 //
 //   # decryption loop over any pointer register, any nonzero key
 //   template xor-decrypt : decryption-loop {
+//     note "Figure 2/6 xor decryption template"
 //     store *A = xor(load(*A), K)
 //     advance A
 //     loopback
@@ -30,6 +31,11 @@
 //                              (the hardened decoder-loop form)
 //   regwrite VALUE | advance VAR | loopback
 //   syscall N [sub N] [path "S"]
+//   note "TEXT"                free text shown in alerts (at most one;
+//                              never matched, not part of the cache key)
+//
+// templates/standard.tmpl, written in this language, is the built-in
+// library (see semantic/library.hpp).
 #pragma once
 
 #include <string>

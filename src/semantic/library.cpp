@@ -1,219 +1,85 @@
 #include "semantic/library.hpp"
 
+#include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
+
+#include "semantic/dsl.hpp"
+
 namespace senids::semantic {
 
-using ir::BinOp;
+namespace {
 
-Template tmpl_xor_decrypt_loop() {
-  // mem[A] := mem[A] xor K ; A-register += c ; conditional back-edge.
-  Template t;
-  t.name = "xor-decrypt-loop";
-  t.threat = ThreatClass::kDecryptionLoop;
-  t.note = "Figure 2/6 xor decryption template";
-  t.stmts.push_back(
-      st_decode_store(p_any("A"), p_bin(BinOp::kXor, p_load(p_any("A")), p_const("K"))));
-  t.stmts.push_back(st_advance("A"));
-  t.stmts.push_back(st_branch_back());
-  return t;
+// kStandardTmpl / kExtendedTmpl: the template files' bytes, generated at
+// configure time (src/semantic/CMakeLists.txt).
+#include "semantic/builtin_templates.inc"
+
+std::string_view as_text(const unsigned char* bytes, std::size_t n) noexcept {
+  return {reinterpret_cast<const char*>(bytes), n};
 }
 
-Template tmpl_add_decrypt_loop() {
-  // Additive ciphers: sub normalizes to add of the negated constant, so
-  // one template covers both directions.
-  Template t;
-  t.name = "add-decrypt-loop";
-  t.threat = ThreatClass::kDecryptionLoop;
-  t.note = "equivalent-instruction decoder variant (add/sub key)";
-  t.stmts.push_back(
-      st_decode_store(p_any("A"), p_bin(BinOp::kAdd, p_load(p_any("A")), p_const("K"))));
-  t.stmts.push_back(st_advance("A"));
-  t.stmts.push_back(st_branch_back());
-  return t;
+/// Parse one embedded file. The text is fixed at build time and the
+/// tests parse it, so a failure here is a broken build, not an input
+/// error: report the parser's line and message and abort.
+std::vector<Template> parse_builtin(const char* file, std::string_view text) {
+  auto parsed = parse_templates(text);
+  if (const auto* err = std::get_if<ParseError>(&parsed)) {
+    std::fprintf(stderr, "senids: built-in %s line %zu: %s\n", file, err->line,
+                 err->message.c_str());
+    std::abort();
+  }
+  return std::get<std::vector<Template>>(std::move(parsed));
 }
 
-Template tmpl_ror_decrypt_loop() {
-  // Rotation ciphers (extension beyond the paper's template set).
-  Template t;
-  t.name = "ror-decrypt-loop";
-  t.threat = ThreatClass::kDecryptionLoop;
-  t.note = "rotate-key decoder (future-work extension)";
-  t.stmts.push_back(st_decode_store(
-      p_any("A"),
-      p_transform(p_load(p_any("A")), {BinOp::kRol, BinOp::kRor}, /*allow_not=*/false)));
-  t.stmts.push_back(st_advance("A"));
-  t.stmts.push_back(st_branch_back());
-  return t;
+const std::vector<Template>& standard_set() {
+  static const std::vector<Template> set =
+      parse_builtin("templates/standard.tmpl", standard_library_source());
+  return set;
 }
 
-Template tmpl_admmutate_alt_decoder() {
-  // "a decoding scheme involving a sequence of mov, or, and, and not
-  // instructions that perform operations on a single memory location and
-  // register pair" — Section 5.2. The value written back is any
-  // or/and/not combination of the loaded byte and constants.
-  Template t;
-  t.name = "admmutate-alt-decoder";
-  t.threat = ThreatClass::kDecryptionLoop;
-  t.note = "Figure 7 alternate ADMmutate decryption loop";
-  t.stmts.push_back(st_decode_store(
-      p_any("A"),
-      p_transform(p_load(p_any("A")), {BinOp::kOr, BinOp::kAnd}, /*allow_not=*/true)));
-  t.stmts.push_back(st_advance("A"));
-  t.stmts.push_back(st_branch_back());
-  return t;
+const std::vector<Template>& extended_set() {
+  static const std::vector<Template> set = [] {
+    std::vector<Template> lib = standard_set();
+    for (Template& t : parse_builtin("templates/extended.tmpl", extended_library_source())) {
+      lib.push_back(std::move(t));
+    }
+    return lib;
+  }();
+  return set;
 }
 
-Template tmpl_shell_spawn_pushed_string() {
-  // The classic stack-built "/bin…sh" construction followed by
-  // execve(11). Only the "/bin" dword is demanded: push-order differs
-  // between push-built ("//sh" first, stack grows down) and store-built
-  // ("/bin" first) shellcode, and the statement list is order-sensitive.
-  Template t;
-  t.name = "shell-spawn-pushed-string";
-  t.threat = ThreatClass::kShellSpawn;
-  t.note = "Figure 6 shell-spawning template (stack-built path)";
-  t.stmts.push_back(st_mem_write(p_any(), p_fixed(0x6e69622f)));  // "/bin"
-  t.stmts.push_back(st_syscall(0x0b));                            // execve
-  return t;
+std::vector<Template> subset(std::initializer_list<std::string_view> names) {
+  std::vector<Template> out;
+  for (std::string_view name : names) out.push_back(library_template(name));
+  return out;
 }
 
-Template tmpl_shell_spawn_embedded_string() {
-  // jmp/call/pop shellcode keeps the path as data; the lifter resolves
-  // the popped return address to a constant buffer offset, so the matcher
-  // can read the string straight out of the frame.
-  Template t;
-  t.name = "shell-spawn-embedded-string";
-  t.threat = ThreatClass::kShellSpawn;
-  t.note = "Figure 6 shell-spawning template (embedded path)";
-  t.stmts.push_back(st_syscall_str(0x0b, "/bin"));
-  return t;
+}  // namespace
+
+std::string_view standard_library_source() noexcept {
+  return as_text(kStandardTmpl, sizeof kStandardTmpl);
 }
 
-Template tmpl_port_bind_shell() {
-  // socketcall(SYS_SOCKET), (SYS_BIND), (SYS_LISTEN), (SYS_ACCEPT):
-  // the paper's "extension" that flags shells bound to a separate port.
-  Template t;
-  t.name = "port-bind-shell";
-  t.threat = ThreatClass::kPortBindShell;
-  t.note = "Figure 6 extension: shell bound to a network port";
-  t.stmts.push_back(st_socketcall(1));
-  t.stmts.push_back(st_socketcall(2));
-  t.stmts.push_back(st_socketcall(4));
-  t.stmts.push_back(st_socketcall(5));
-  return t;
+std::string_view extended_library_source() noexcept {
+  return as_text(kExtendedTmpl, sizeof kExtendedTmpl);
 }
 
-Template tmpl_reverse_shell() {
-  // socketcall(SYS_SOCKET) then socketcall(SYS_CONNECT): the connect-back
-  // counterpart of the port binder (extension family; listed by the
-  // paper's future work as "additional families").
-  Template t;
-  t.name = "reverse-shell";
-  t.threat = ThreatClass::kReverseShell;
-  t.note = "connect-back shell (extension)";
-  t.stmts.push_back(st_socketcall(1));
-  t.stmts.push_back(st_socketcall(3));
-  t.stmts.push_back(st_syscall(0x0b));
-  return t;
+Template library_template(std::string_view name) {
+  for (const Template& t : extended_set()) {
+    if (t.name == name) return t;
+  }
+  throw std::out_of_range("no built-in template named '" + std::string(name) + "'");
 }
 
-Template tmpl_code_red_ii() {
-  // The decoded CRII vector pushes the fixed trampoline address
-  // 0x7801cbd3 (call ebx inside msvcrt) — the invariant memory
-  // addressing the paper's Section 5.3 template keys on.
-  Template t;
-  t.name = "code-red-ii-vector";
-  t.threat = ThreatClass::kCodeRedII;
-  t.note = "Code Red II initial exploitation vector (Table 3)";
-  t.stmts.push_back(st_mem_write(p_any(), p_fixed(0x7801cbd3)));
-  return t;
-}
-
-// ----------------------------------------------------- x86-64 templates
-// Same behaviors under the Linux x86-64 calling convention: `syscall`
-// instead of int 0x80, direct socket syscalls instead of socketcall, and
-// the path pointer in rdi. The out-of-range event vector (0x100) keeps
-// these templates inert on 32-bit traces.
-
-Template tmpl_shell_spawn_stack_64() {
-  // mov rbx, 0x68732f2f6e69622f ; push rbx ; ... ; execve(59). The store
-  // event carries the low dword ("/bin") of the pushed immediate.
-  Template t;
-  t.name = "shell-spawn-stack-64";
-  t.arch = "x86_64";
-  t.threat = ThreatClass::kShellSpawn;
-  t.note = "x86-64 shell spawn, stack-built path";
-  t.stmts.push_back(st_mem_write(p_any(), p_fixed(0x6e69622f)));  // "/bin"
-  t.stmts.push_back(st_syscall64(59));                            // execve
-  return t;
-}
-
-Template tmpl_shell_spawn_embedded_64() {
-  // call/pop or RIP-relative GetPC with the path embedded in the frame.
-  Template t;
-  t.name = "shell-spawn-embedded-64";
-  t.arch = "x86_64";
-  t.threat = ThreatClass::kShellSpawn;
-  t.note = "x86-64 shell spawn, embedded path";
-  t.stmts.push_back(st_syscall64_str(59, "/bin"));
-  return t;
-}
-
-Template tmpl_port_bind_shell_64() {
-  // socket(41), bind(49), listen(50), accept(43): the direct-syscall
-  // equivalent of the socketcall sequence.
-  Template t;
-  t.name = "port-bind-shell-64";
-  t.arch = "x86_64";
-  t.threat = ThreatClass::kPortBindShell;
-  t.note = "x86-64 shell bound to a network port";
-  t.stmts.push_back(st_syscall64(41));
-  t.stmts.push_back(st_syscall64(49));
-  t.stmts.push_back(st_syscall64(50));
-  t.stmts.push_back(st_syscall64(43));
-  return t;
-}
-
-Template tmpl_reverse_shell_64() {
-  // socket(41), connect(42), then execve(59) for the spawned shell.
-  Template t;
-  t.name = "reverse-shell-64";
-  t.arch = "x86_64";
-  t.threat = ThreatClass::kReverseShell;
-  t.note = "x86-64 connect-back shell";
-  t.stmts.push_back(st_syscall64(41));
-  t.stmts.push_back(st_syscall64(42));
-  t.stmts.push_back(st_syscall64(59));
-  return t;
-}
-
-std::vector<Template> make_xor_only_library() {
-  return {tmpl_xor_decrypt_loop()};
-}
+std::vector<Template> make_xor_only_library() { return subset({"xor-decrypt-loop"}); }
 
 std::vector<Template> make_decoder_library() {
-  return {tmpl_xor_decrypt_loop(), tmpl_add_decrypt_loop(),
-          tmpl_admmutate_alt_decoder()};
+  return subset({"xor-decrypt-loop", "add-decrypt-loop", "admmutate-alt-decoder"});
 }
 
-std::vector<Template> make_standard_library() {
-  return {tmpl_xor_decrypt_loop(),
-          tmpl_add_decrypt_loop(),
-          tmpl_admmutate_alt_decoder(),
-          tmpl_shell_spawn_pushed_string(),
-          tmpl_shell_spawn_embedded_string(),
-          tmpl_port_bind_shell(),
-          tmpl_reverse_shell(),
-          tmpl_code_red_ii(),
-          tmpl_shell_spawn_stack_64(),
-          tmpl_shell_spawn_embedded_64(),
-          tmpl_port_bind_shell_64(),
-          tmpl_reverse_shell_64()};
-}
+std::vector<Template> make_standard_library() { return standard_set(); }
 
-std::vector<Template> make_extended_library() {
-  auto lib = make_standard_library();
-  lib.push_back(tmpl_ror_decrypt_loop());
-  return lib;
-}
+std::vector<Template> make_extended_library() { return extended_set(); }
 
 }  // namespace senids::semantic

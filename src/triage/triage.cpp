@@ -356,7 +356,6 @@ ScanProfile scan_profile(util::ByteView payload, bool allow_simd) {
 
 std::string_view triage_reason_name(TriageReason r) noexcept {
   switch (r) {
-    case TriageReason::kForced: return "forced";
     case TriageReason::kExtractAll: return "extract-all";
     case TriageReason::kRepetitionRun: return "repetition-run";
     case TriageReason::kNopSled: return "nop-sled";
@@ -364,7 +363,6 @@ std::string_view triage_reason_name(TriageReason r) noexcept {
     case TriageReason::kGetPcCode: return "getpc-code";
     case TriageReason::kLiteralMatch: return "literal-match";
     case TriageReason::kDecodedCodeEvidence: return "decoded-code-evidence";
-    case TriageReason::kSpectrumAnomaly: return "spectrum-anomaly";
     case TriageReason::kEmptyUnit: return "empty-unit";
     case TriageReason::kNoFramesPossible: return "no-frames-possible";
     case TriageReason::kDataNoCodeEvidence: return "data-no-code-evidence";
@@ -439,10 +437,7 @@ bool TriageFilter::code_evidence(util::ByteView data) const {
   return literals_.matches_any(data);
 }
 
-TriageDecision TriageFilter::screen(util::ByteView payload, std::uint16_t dst_port) const {
-  if (options_.mode == TriageMode::kForceEscalate) {
-    return {true, TriageReason::kForced};
-  }
+TriageDecision TriageFilter::screen(util::ByteView payload, std::uint16_t /*dst_port*/) const {
   if (extractor_.extract_all) {
     // Bypass mode frames every payload whole; nothing can be rejected.
     return {true, TriageReason::kExtractAll};
@@ -470,9 +465,6 @@ TriageDecision TriageFilter::screen(util::ByteView payload, std::uint16_t dst_po
   }
   if (literals_.matches_any(payload)) {
     return {true, TriageReason::kLiteralMatch};
-  }
-  if (options_.spectrum && options_.spectrum->is_anomalous(payload, dst_port)) {
-    return {true, TriageReason::kSpectrumAnomaly};
   }
 
   // Data-shaped frame sources: decode exactly what the extractor would

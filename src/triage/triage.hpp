@@ -2,9 +2,9 @@
 // the stage (b)-(e) pipeline (and before the verdict cache's SHA-256 —
 // hashing at memory bandwidth would cap the fast path). The screen runs a
 // handful of O(n) byte passes — run statistics mirroring the extractor
-// heuristics, a GetPC code probe, an Aho-Corasick prefilter over the
-// template library's fixed byte literals, and optionally a PAYL byte-
-// spectrum model — and only escalates units that show code evidence.
+// heuristics, a GetPC code probe, and an Aho-Corasick prefilter over the
+// template library's fixed byte literals — and only escalates units that
+// show code evidence.
 //
 // Escalation policy (conservative, escalate-on-doubt):
 //
@@ -26,11 +26,9 @@
 // touches no mutable state).
 #pragma once
 
-#include <memory>
 #include <string_view>
 #include <vector>
 
-#include "anomaly/payl.hpp"
 #include "extract/extractor.hpp"
 #include "semantic/template.hpp"
 #include "sig/aho.hpp"
@@ -39,9 +37,8 @@
 namespace senids::triage {
 
 enum class TriageMode : std::uint8_t {
-  kOff,            // every unit goes straight to stages (b)-(e)
-  kOn,             // screen units; reject provably/empirically clean ones
-  kForceEscalate,  // screen units but escalate all of them (testing)
+  kOff,  // every unit goes straight to stages (b)-(e)
+  kOn,   // screen units; reject provably/empirically clean ones
 };
 
 /// Why a unit was escalated or rejected. Escalation reasons name the
@@ -49,7 +46,6 @@ enum class TriageMode : std::uint8_t {
 /// that justifies skipping stages (b)-(e).
 enum class TriageReason : std::uint8_t {
   // Escalations.
-  kForced,              // mode == kForceEscalate
   kExtractAll,          // extractor bypass mode frames every payload
   kRepetitionRun,       // overflow-filler run would form a frame
   kNopSled,             // NOP-like sled run would form a frame
@@ -57,7 +53,6 @@ enum class TriageReason : std::uint8_t {
   kGetPcCode,           // call/pop or fnstenv GetPC idiom present
   kLiteralMatch,        // a template's fixed byte literal occurs
   kDecodedCodeEvidence, // base64/%u decoded bytes held code evidence
-  kSpectrumAnomaly,     // PAYL byte-spectrum model flagged the payload
   // Rejections.
   kEmptyUnit,           // empty payloads never form frames
   kNoFramesPossible,    // no extractor heuristic can fire: provably clean
@@ -68,17 +63,11 @@ enum class TriageReason : std::uint8_t {
 
 struct TriageDecision {
   bool escalate = true;
-  TriageReason reason = TriageReason::kForced;
+  TriageReason reason = TriageReason::kExtractAll;
 };
 
 struct TriageOptions {
   TriageMode mode = TriageMode::kOff;
-  /// Optional trained PAYL model (see src/anomaly): payloads the model
-  /// flags as anomalous for their destination port are escalated. The
-  /// model can only *add* escalations — rejection never consults it — so
-  /// an untrained or absent model keeps the policy exactly as documented
-  /// above. Shared const; the filter never mutates it.
-  std::shared_ptr<const anomaly::PaylDetector> spectrum;
 };
 
 /// Fixed byte strings every template of `templates` needs verbatim in a
@@ -125,8 +114,9 @@ class TriageFilter {
   TriageFilter(TriageOptions options, extract::ExtractorOptions extractor,
                const std::vector<semantic::Template>& templates);
 
-  /// Screen one analysis unit. `dst_port` selects the PAYL model cell
-  /// when a spectrum model is configured (pass 0 when unknown).
+  /// Screen one analysis unit. The decision depends on the bytes alone;
+  /// the unused destination-port parameter remains only because the
+  /// benchmark harness (perfbench/traced.cpp) still passes one.
   [[nodiscard]] TriageDecision screen(util::ByteView payload,
                                       std::uint16_t dst_port = 0) const;
 

@@ -1,10 +1,16 @@
-// Wall-clock stopwatch used by the bench harnesses to report the same
-// per-sample running times the paper tabulates.
+// Wall-clock timing: the stopwatch the bench harnesses use to report the
+// same per-sample running times the paper tabulates, and the steady-clock
+// helper the pipeline's per-stage clocks share.
 #pragma once
 
 #include <chrono>
 
 namespace senids::util {
+
+/// Seconds elapsed on the steady clock since `start`.
+inline double seconds_since(std::chrono::steady_clock::time_point start) noexcept {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
 
 class WallTimer {
  public:

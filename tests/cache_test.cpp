@@ -3,6 +3,7 @@
 // sharded byte-budgeted LRU itself.
 #include <gtest/gtest.h>
 
+#include "arch/arch.hpp"
 #include "cache/fingerprint.hpp"
 #include "cache/sha256.hpp"
 #include "cache/verdict_cache.hpp"
@@ -130,6 +131,30 @@ TEST(ConfigFingerprint, ChangesWithTemplateSet) {
   core::NidsEngine standard(options);
   core::NidsEngine extended(options, semantic::make_extended_library());
   EXPECT_NE(standard.config_fingerprint(), extended.config_fingerprint());
+}
+
+TEST(ConfigFingerprint, BuiltinLibraryDigestsArePinned) {
+  // The built-in templates are the parsed templates/*.tmpl files. These
+  // digests were taken from the hand-built C++ library the files
+  // replaced, so they prove the move changed no verdict and no cache
+  // key. An intended edit to a built-in template must update them (and
+  // thereby invalidates every cached verdict, by construction).
+  auto library_digest = [](const std::vector<semantic::Template>& lib) {
+    cache::Sha256 ctx;
+    cache::hash_templates(ctx, lib);
+    return hex(ctx.finish());
+  };
+  EXPECT_EQ(library_digest(semantic::make_standard_library()),
+            "8cf356730da5199bfae016931a8062761df3edbda5eea0aa7d95000f7437d62b");
+  EXPECT_EQ(library_digest(semantic::make_extended_library()),
+            "10e04a84f851febc8e6aba8d67c143c1432a10fd9e3f5f460ec5de5c62023fa0");
+  // The default engine's fingerprint is also /statusz build_info.
+  EXPECT_EQ(hex(fingerprint_of(core::NidsOptions{})),
+            "7cf6434760e8322130e964e7c888dfc04cbfd4fa47c13ad9f32462182bdc0d36");
+  core::NidsOptions x64;
+  x64.arch = &arch::Arch::x86_64();
+  EXPECT_EQ(hex(fingerprint_of(x64)),
+            "9cd54e76c6a9a67ffe2dbf1d928b273632564bfd2df914e42365c86526863222");
 }
 
 TEST(ConfigFingerprint, ChangesWithVerdictAffectingOptions) {

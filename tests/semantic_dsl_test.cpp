@@ -176,70 +176,125 @@ TEST(Dsl, AnonymousStarHasNoBinding) {
 }  // namespace
 }  // namespace senids::semantic
 
-// ------------------------- shipped standard.tmpl equivalence ------------
-
-#include "gen/poly.hpp"
-#include "gen/shellcode.hpp"
-#include "semantic/analyzer.hpp"
-#include "semantic/library.hpp"
+// ------------------------------------------------- the built-in library
 
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+
+#include "semantic/library.hpp"
 
 namespace senids::semantic {
 namespace {
 
-std::vector<Template> load_shipped_templates() {
-  std::ifstream in(std::string(SENIDS_SOURCE_DIR) + "/templates/standard.tmpl");
-  EXPECT_TRUE(in.good()) << "templates/standard.tmpl missing";
+TEST(Dsl, NoteSetsTemplateNote) {
+  auto result = parse_templates(
+      "template t : shell-spawn {\n  note \"Figure 6, stack path\"\n  syscall 0x0b\n}");
+  auto* templates = std::get_if<std::vector<Template>>(&result);
+  ASSERT_NE(templates, nullptr);
+  ASSERT_EQ(templates->size(), 1u);
+  EXPECT_EQ((*templates)[0].note, "Figure 6, stack path");
+  EXPECT_EQ((*templates)[0].stmts.size(), 1u);  // a note is not a statement
+}
+
+TEST(Dsl, NoteErrors) {
+  auto line_of = [](std::string_view text) {
+    auto result = parse_templates(text);
+    const auto* err = std::get_if<ParseError>(&result);
+    return err ? err->line : 0;
+  };
+  EXPECT_EQ(line_of("template t {\n  note 7\n  loopback\n}"), 2u);
+  EXPECT_EQ(line_of("template t {\n note \"a\"\n note \"b\"\n loopback\n}"), 3u);
+  EXPECT_EQ(line_of("template t {\n  note \"only a note\"\n}"), 3u);  // no statements
+}
+
+TEST(Dsl, LinesInsideStringsAreCounted) {
+  auto result = parse_templates("template t {\n note \"two\nlines\"\n bogus\n}");
+  const auto* err = std::get_if<ParseError>(&result);
+  ASSERT_NE(err, nullptr);
+  EXPECT_EQ(err->line, 4u) << err->message;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path << " missing";
   std::ostringstream buf;
   buf << in.rdbuf();
-  auto parsed = parse_templates(buf.str());
-  if (auto* err = std::get_if<ParseError>(&parsed)) {
-    ADD_FAILURE() << "standard.tmpl line " << err->line << ": " << err->message;
-    return {};
+  return buf.str();
+}
+
+TEST(BuiltinLibrary, EmbeddedTextIsTheShippedFiles) {
+  // The build embeds templates/*.tmpl at configure time; a stale copy
+  // would make the binary disagree with the file operators read.
+  EXPECT_EQ(standard_library_source(),
+            read_file(SENIDS_SOURCE_DIR "/templates/standard.tmpl"));
+  EXPECT_EQ(extended_library_source(),
+            read_file(SENIDS_SOURCE_DIR "/templates/extended.tmpl"));
+}
+
+TEST(BuiltinLibrary, ListingIsThePaperSet) {
+  // Name, threat class, arch tag and note of every built-in template, in
+  // library order. Notes reach alerts and format_match output but not
+  // the cache key, so the digest pins (cache_test) cannot see them.
+  struct Row {
+    const char* name;
+    ThreatClass threat;
+    const char* arch;
+    const char* note;
+  };
+  const Row expected[] = {
+      {"xor-decrypt-loop", ThreatClass::kDecryptionLoop, "x86_32",
+       "Figure 2/6 xor decryption template"},
+      {"add-decrypt-loop", ThreatClass::kDecryptionLoop, "x86_32",
+       "equivalent-instruction decoder variant (add/sub key)"},
+      {"admmutate-alt-decoder", ThreatClass::kDecryptionLoop, "x86_32",
+       "Figure 7 alternate ADMmutate decryption loop"},
+      {"shell-spawn-pushed-string", ThreatClass::kShellSpawn, "x86_32",
+       "Figure 6 shell-spawning template (stack-built path)"},
+      {"shell-spawn-embedded-string", ThreatClass::kShellSpawn, "x86_32",
+       "Figure 6 shell-spawning template (embedded path)"},
+      {"port-bind-shell", ThreatClass::kPortBindShell, "x86_32",
+       "Figure 6 extension: shell bound to a network port"},
+      {"reverse-shell", ThreatClass::kReverseShell, "x86_32", "connect-back shell (extension)"},
+      {"code-red-ii-vector", ThreatClass::kCodeRedII, "x86_32",
+       "Code Red II initial exploitation vector (Table 3)"},
+      {"shell-spawn-stack-64", ThreatClass::kShellSpawn, "x86_64",
+       "x86-64 shell spawn, stack-built path"},
+      {"shell-spawn-embedded-64", ThreatClass::kShellSpawn, "x86_64",
+       "x86-64 shell spawn, embedded path"},
+      {"port-bind-shell-64", ThreatClass::kPortBindShell, "x86_64",
+       "x86-64 shell bound to a network port"},
+      {"reverse-shell-64", ThreatClass::kReverseShell, "x86_64", "x86-64 connect-back shell"},
+      {"ror-decrypt-loop", ThreatClass::kDecryptionLoop, "x86_32",
+       "rotate-key decoder (future-work extension)"},
+  };
+  const std::vector<Template> lib = make_extended_library();
+  ASSERT_EQ(lib.size(), std::size(expected));
+  EXPECT_EQ(make_standard_library().size(), std::size(expected) - 1);
+  for (std::size_t i = 0; i < lib.size(); ++i) {
+    EXPECT_EQ(lib[i].name, expected[i].name) << i;
+    EXPECT_EQ(lib[i].threat, expected[i].threat) << lib[i].name;
+    EXPECT_EQ(lib[i].arch, expected[i].arch) << lib[i].name;
+    EXPECT_EQ(lib[i].note, expected[i].note) << lib[i].name;
   }
-  return std::get<std::vector<Template>>(parsed);
 }
 
-TEST(ShippedTemplates, ParseAndMatchBuiltinCount) {
-  auto shipped = load_shipped_templates();
-  auto builtin = make_standard_library();
-  EXPECT_EQ(shipped.size(), builtin.size());
-}
-
-TEST(ShippedTemplates, DetectionParityWithBuiltins) {
-  auto shipped = load_shipped_templates();
-  ASSERT_FALSE(shipped.empty());
-  SemanticAnalyzer from_dsl(std::move(shipped));
-  SemanticAnalyzer from_code(make_standard_library());
-
-  auto classes = [](const std::vector<Detection>& ds) {
-    std::vector<int> out;
-    for (const auto& d : ds) out.push_back(static_cast<int>(d.threat));
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
+TEST(BuiltinLibrary, SubsetsAndLookupByName) {
+  auto names = [](const std::vector<Template>& lib) {
+    std::vector<std::string> out;
+    for (const Template& t : lib) out.push_back(t.name);
     return out;
   };
-
-  // Exploit corpus: every sample must classify identically.
-  util::Prng prng(606);
-  std::vector<util::Bytes> corpus;
-  for (const auto& s : gen::make_shell_spawn_corpus()) corpus.push_back(s.code);
-  corpus.push_back(gen::make_iis_asp_overflow_payload());
-  corpus.push_back(gen::make_reverse_shell(0x0A000001u, 0x5c11u));
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    util::Prng p(seed);
-    corpus.push_back(gen::admmutate_encode(corpus[1], p).bytes);
-  }
-  for (std::size_t i = 0; i < corpus.size(); ++i) {
-    EXPECT_EQ(classes(from_dsl.analyze(corpus[i])), classes(from_code.analyze(corpus[i])))
-        << "sample " << i;
-  }
-  // And a benign control stays clean for both.
-  auto noise = prng.bytes(2048);
-  EXPECT_TRUE(from_dsl.analyze(noise).empty());
-  EXPECT_TRUE(from_code.analyze(noise).empty());
+  EXPECT_EQ(names(make_xor_only_library()), std::vector<std::string>{"xor-decrypt-loop"});
+  EXPECT_EQ(names(make_decoder_library()),
+            (std::vector<std::string>{"xor-decrypt-loop", "add-decrypt-loop",
+                                      "admmutate-alt-decoder"}));
+  EXPECT_EQ(library_template("ror-decrypt-loop").name, "ror-decrypt-loop");
+  EXPECT_THROW((void)library_template("no-such-template"), std::out_of_range);
+  // Each call returns an independent copy of the parsed set.
+  std::vector<Template> a = make_standard_library();
+  a[0].name = "edited";
+  EXPECT_EQ(make_standard_library()[0].name, "xor-decrypt-loop");
 }
 
 std::vector<Template> parse_ok2(std::string_view text) {

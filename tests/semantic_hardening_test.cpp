@@ -241,7 +241,7 @@ TEST(Hardening, RorDecoderMatchesExtensionTemplate) {
   a.loop_(head);
   Bytes code = a.finish();
   EXPECT_FALSE(any_decoder_match(code));  // not in the standard decoder set
-  EXPECT_TRUE(run_match(tmpl_ror_decrypt_loop(), code).has_value());
+  EXPECT_TRUE(run_match(library_template("ror-decrypt-loop"), code).has_value());
 }
 
 TEST(Hardening, BackwardWalkingDecoderStillMatches) {

@@ -1,6 +1,6 @@
 // Unit tests for the stage-0 triage prefilter: each screen probe in
-// isolation (run statistics, GetPC idiom, template-literal automaton,
-// PAYL spectrum), the escalation edge cases (empty unit, max-size unit,
+// isolation (run statistics, GetPC idiom, template-literal automaton),
+// the escalation edge cases (empty unit, max-size unit,
 // high-entropy benign data), the escalation guarantees over every attack
 // generator, the <10% benign escalation budget, and the engine-level
 // counter agreement (screened == escalated + rejected, and the verdict
@@ -259,17 +259,6 @@ TEST(Triage, HighEntropyBenignDataRejected) {
   EXPECT_GE(rejected, kSamples - 4);
 }
 
-TEST(Triage, ForceEscalateScreensNothingOut) {
-  TriageOptions options;
-  options.mode = TriageMode::kForceEscalate;
-  const TriageFilter f = make_filter(std::move(options));
-  for (ByteView payload : {ByteView{}, ByteView{util::as_bytes("plain text")}}) {
-    const TriageDecision d = f.screen(payload);
-    EXPECT_TRUE(d.escalate);
-    EXPECT_EQ(reason(d), "forced");
-  }
-}
-
 TEST(Triage, ExtractAllDisablesRejection) {
   // Extractor bypass mode frames every payload whole, so nothing can be
   // proven frame-free and the screen must escalate everything.
@@ -281,52 +270,9 @@ TEST(Triage, ExtractAllDisablesRejection) {
   EXPECT_EQ(reason(d), "extract-all");
 }
 
-// -------------------------------------------------------- PAYL spectrum
-
-TEST(Triage, SpectrumAnomalyEscalates) {
-  // Train a PAYL model on text-like payloads, then screen a payload with
-  // a wildly different byte spectrum but no frame evidence at all: only
-  // the spectrum probe can (and must) escalate it.
-  auto payl = std::make_shared<anomaly::PaylDetector>(
-      anomaly::PaylDetector::Options{.threshold = 16.0, .bucket_by_length = true});
-  util::Prng prng(9);
-  for (int i = 0; i < 16; ++i) {
-    Bytes sample;
-    for (int j = 0; j < 160; ++j) {
-      sample.push_back(static_cast<std::uint8_t>('a' + prng.below(26)));
-    }
-    payl->train(sample, 80);
-  }
-
-  // Punctuation with no 4-byte period (a periodic pattern would read as
-  // a repeated return-address dword), no '%', no base64 alphabet, no
-  // NOP-like bytes, no long identical runs.
-  static constexpr char kPunct[] = {'!', '#', '&', '(', ')', '*', ',', '-',
-                                    '.', ':', ';', '<', '>', '?', '{', '}'};
-  util::Prng punct_prng(17);
-  Bytes odd;
-  for (int i = 0; i < 160; ++i) {
-    odd.push_back(static_cast<std::uint8_t>(kPunct[punct_prng.below(std::size(kPunct))]));
-  }
-
-  // Without a model the payload is provably frame-free.
-  const TriageFilter plain = make_filter();
-  EXPECT_EQ(reason(plain.screen(odd, 80)), "no-frames-possible");
-
-  TriageOptions options;
-  options.mode = TriageMode::kOn;
-  options.spectrum = payl;
-  const TriageFilter f = make_filter(std::move(options));
-  const TriageDecision d = f.screen(odd, 80);
-  EXPECT_TRUE(d.escalate);
-  EXPECT_EQ(reason(d), "spectrum-anomaly");
-  // An untrained port cell scores 0: the model stays silent and the
-  // frame-free rejection resumes.
-  EXPECT_EQ(reason(f.screen(odd, 8080)), "no-frames-possible");
-}
-
 TEST(Triage, ByteSpectrumSharedPrimitive) {
-  // The triage spectrum screen and PAYL share one frequency routine.
+  // The byte-spectrum routine PAYL trains and scores on. It lives in this
+  // suite so the TSan build exercises it too.
   const auto spec = anomaly::byte_spectrum(util::as_bytes("aab"));
   EXPECT_DOUBLE_EQ(spec['a'], 2.0 / 3.0);
   EXPECT_DOUBLE_EQ(spec['b'], 1.0 / 3.0);

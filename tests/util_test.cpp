@@ -7,7 +7,7 @@
 #include "util/hexdump.hpp"
 #include "util/log.hpp"
 #include "util/prng.hpp"
-#include "util/thread_pool.hpp"
+#include "util/text.hpp"
 
 namespace senids::util {
 namespace {
@@ -197,53 +197,22 @@ TEST(Prng, PickReturnsElement) {
   }
 }
 
-// ------------------------------------------------------------ thread pool
+// ------------------------------------------------------------------- text
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1000);
+TEST(Text, AppendFormatAppendsWithoutTruncation) {
+  std::string out = "head:";
+  const std::string long_name(5000, 'n');
+  append_format(out, " %s=%d", long_name.c_str(), 42);
+  EXPECT_EQ(out, "head: " + long_name + "=42");
+  append_format(out, "%s", "");  // empty output leaves the string alone
+  EXPECT_EQ(out.size(), 6 + long_name.size() + 3);
 }
 
-TEST(ThreadPool, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPool, WorkersCanSubmit) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&] {
-    pool.submit([&count] { ++count; });
-  });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPool, ZeroThreadsClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.thread_count(), 1u);
-}
-
-TEST(ThreadPool, DrainsQueueOnDestruction) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i) {
-      pool.submit([&count] { ++count; });
-    }
-  }
-  EXPECT_EQ(count.load(), 100);
+TEST(Text, JsonEscape) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape(std::string_view("\n\x01\x1f", 3)), "\\u000a\\u0001\\u001f");
+  EXPECT_EQ(json_escape("caf\xc3\xa9"), "caf\xc3\xa9");  // UTF-8 passes through
 }
 
 // -------------------------------------------------------------------- log

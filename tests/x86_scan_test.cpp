@@ -26,7 +26,6 @@ TEST(FindCodeRuns, AllNops) {
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].start, 0u);
   EXPECT_EQ(runs[0].insn_count, 64u);
-  EXPECT_EQ(runs[0].byte_len, 64u);
 }
 
 TEST(FindCodeRuns, SuppressesTailRuns) {
@@ -68,6 +67,37 @@ TEST(FindCodeRuns, ShellcodeYieldsLongRun) {
   // The run starting at (or before) the sled should cover the decoder.
   EXPECT_LE(runs[0].start, poly.sled_len);
   EXPECT_GE(runs[0].insn_count, 10u);
+}
+
+TEST(FindCodeRuns, RankedLongestFirstWithExactCounts) {
+  // Every consumer takes the runs in this order, so the scanner owns it:
+  // longest first, equal lengths by offset. insn_count comes from the
+  // scan's dynamic program and must equal a fresh linear sweep.
+  util::Prng prng(17);
+  std::vector<Bytes> inputs;
+  for (int i = 0; i < 6; ++i) inputs.push_back(prng.bytes(1024));
+  inputs.push_back(gen::admmutate_encode(util::to_bytes("payloadpayload"), prng).bytes);
+  inputs.push_back(gen::clet_encode(util::to_bytes("payloadpayload"), prng).bytes);
+  std::size_t ties = 0;
+  for (Mode mode : {Mode::k32, Mode::k64}) {
+    for (const Bytes& code : inputs) {
+      const auto runs = find_code_runs(code, 1, mode);
+      ASSERT_FALSE(runs.empty());
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_EQ(runs[i].insn_count, linear_sweep(code, runs[i].start, SIZE_MAX, mode).size())
+            << "run at " << runs[i].start;
+        if (i == 0) continue;
+        const CodeRun& prev = runs[i - 1];
+        if (prev.insn_count == runs[i].insn_count) {
+          ++ties;
+          EXPECT_LT(prev.start, runs[i].start);
+        } else {
+          EXPECT_GT(prev.insn_count, runs[i].insn_count);
+        }
+      }
+    }
+  }
+  EXPECT_GT(ties, 0u);  // the tie-break was exercised
 }
 
 // ----------------------------------------------------- execution traces

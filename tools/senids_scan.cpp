@@ -58,6 +58,7 @@
 #include "obs/server.hpp"
 #include "obs/trace.hpp"
 #include "sig/ruleparse.hpp"
+#include "util/text.hpp"
 
 using namespace senids;
 
@@ -213,23 +214,6 @@ std::string fingerprint_hex(const cache::Digest& digest) {
     char buf[3];
     std::snprintf(buf, sizeof buf, "%02x", b);
     out += buf;
-  }
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
   }
   return out;
 }
@@ -485,7 +469,7 @@ int main(int argc, char** argv) {
                   a.ts_sec, a.src.str().c_str(), a.src_port, a.dst.str().c_str(),
                   a.dst_port,
                   std::string(semantic::threat_class_name(a.threat)).c_str(),
-                  json_escape(a.template_name).c_str(),
+                  util::json_escape(a.template_name).c_str(),
                   std::string(extract::frame_reason_name(a.frame_reason)).c_str(),
                   a.frame_offset, i + 1 < report.alerts.size() ? "," : "");
     }
